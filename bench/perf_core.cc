@@ -1,7 +1,7 @@
 // PERF — engineering microbenchmarks for the hot paths: model
 // construction (separable box sums), single flips (O(N) incremental
-// updates), full Glauber runs, the distance transform behind the region
-// metrics, and prefix-sum construction.
+// updates), full Glauber runs, the distance transform and cover pass
+// behind the region metrics, and prefix-sum construction.
 #include <benchmark/benchmark.h>
 
 #include <arpa/inet.h>
@@ -444,6 +444,34 @@ void BM_DistanceTransform(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n);
 }
 BENCHMARK(BM_DistanceTransform)->Arg(256)->Arg(512);
+
+// What a phase_diagram replica pays for E[M]: the radius and cover fields
+// plus 16 samples. Second arg picks the field: 0 = random p = 0.5, 1 =
+// Glauber-evolved (w = 2, tau = 0.45) segregated, 2 = fully monochromatic,
+// the plateau the cover pass must short-circuit.
+void BM_MeanMonoRegion(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int field_kind = static_cast<int>(state.range(1));
+  seg::Rng rng(8);
+  std::vector<std::int8_t> spins(static_cast<std::size_t>(n) * n, 1);
+  if (field_kind == 0) {
+    for (auto& s : spins) s = rng.bernoulli(0.5) ? 1 : -1;
+  } else if (field_kind == 1) {
+    seg::SchellingModel model({.n = n, .w = 2, .tau = 0.45, .p = 0.5}, rng);
+    seg::run_glauber(model, rng);
+    spins = model.spins();
+  }
+  state.SetLabel(field_kind == 0   ? "random"
+                 : field_kind == 1 ? "segregated"
+                                   : "uniform");
+  for (auto _ : state) {
+    const seg::MonoRegionField field = seg::mono_region_field(spins, n);
+    seg::Rng sample(9);
+    benchmark::DoNotOptimize(seg::mean_mono_region_size(field, 16, sample));
+  }
+  state.SetItemsProcessed(state.iterations() * n * n);
+}
+BENCHMARK(BM_MeanMonoRegion)->Args({256, 0})->Args({256, 1})->Args({256, 2});
 
 void BM_PrefixSumBuild(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -4,7 +4,8 @@
 # — trailing benchmark arg 0 = byte, 1 = bit-packed — plus the
 # BM_GlauberSweep giant-lattice scaling curve: packed serial engine vs
 # 1/2/4/8 stripe shards at n in {1024, 2048, 4096}, with byte reference
-# rows, and the BM_AdaptiveCampaign fixed-vs-adaptive scheduling pair)
+# rows, the BM_AdaptiveCampaign fixed-vs-adaptive scheduling pair, and
+# the BM_MeanMonoRegion region-measurement cost on three field shapes)
 # in Google Benchmark's JSON format, annotated with the
 # seed-implementation baselines, the sharded-vs-serial speedups, the
 # packed-vs-byte storage ratios, and the adaptive-campaign replica
@@ -31,7 +32,7 @@ fi
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 (cd "$tmp" && "$repo/build/perf_core" \
-    --benchmark_filter='^BM_(AdaptiveCampaign|Flip|FlipTelemetry|GlauberRun|GlauberSweep|StreamingObservables)' \
+    --benchmark_filter='^BM_(AdaptiveCampaign|Flip|FlipTelemetry|GlauberRun|GlauberSweep|MeanMonoRegion|StreamingObservables)' \
     --benchmark_min_time=0.25 \
     --benchmark_format=json >raw.json)
 
@@ -94,6 +95,7 @@ recording = {}     # n -> {mode: real_time}; mode 0 = rescan, 1 = streaming
 by_storage = {}    # workload (name sans storage arg) -> {storage: ns}
 graph_flip = {}    # w -> ns; BM_FlipGraphTorus (CSR graph engine on torus)
 campaign = {}      # mode -> scheduled replicas; 0 = fixed, 1 = adaptive
+region = {}        # field label -> ns; BM_MeanMonoRegion/256/<field>
 for bench in raw.get("benchmarks", []):
     name = bench.get("name", "")
     parts = name.split("/")
@@ -124,6 +126,8 @@ for bench in raw.get("benchmarks", []):
         recording.setdefault(n, {})[mode] = bench["real_time"]
     if name.startswith("BM_AdaptiveCampaign/") and bench.get("replicas"):
         campaign[int(parts[1])] = bench["replicas"]
+    if name.startswith("BM_MeanMonoRegion/") and bench.get("real_time"):
+        region[bench.get("label", parts[-1])] = round(bench["real_time"], 1)
 
 scaling = {}
 for n, shards, bench in sweep_rows:
@@ -164,6 +168,17 @@ if 0 in campaign and 1 in campaign and campaign[0] > 0:
         "savings": round(1.0 - campaign[1] / campaign[0], 3),
         "target": ">= 0.30 at equal certified CI width "
                   "(tests/test_campaign_adaptive.cc pins the same grid)",
+    }
+# Region measurement: what one phase_diagram replica pays for E[M] (radius
+# field, cover field, 16 samples) at n = 256 on a random, a segregated and
+# a fully monochromatic field. The monochromatic row guards the plateau
+# case: without its short-circuit the cover pass paints a whole ball from
+# every center.
+if region:
+    context["region_measurement"] = {
+        "metric": "BM_MeanMonoRegion/256/<field>: mono_region_field + "
+                  "mean_mono_region_size over 16 samples, ns per call",
+        "ns_by_field": region,
     }
 context["sharded_scaling"] = {
     "metric": "wall-clock flips/sec, sharded sweep engine vs serial "

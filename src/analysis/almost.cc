@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "core/model.h"
-#include "analysis/regions.h"
 #include "grid/prefix_sum.h"
 
 namespace seg {
@@ -33,24 +32,39 @@ AlmostMonoField almost_mono_field(const std::vector<std::int8_t>& spins,
   }
   const PrefixSum2D prefix(plus_indicator, n);
 
-  for (int cy = 0; cy < n; ++cy) {
-    for (int cx = 0; cx < n; ++cx) {
-      // Largest r whose ball satisfies the ratio test. The property is not
-      // monotone in r, so scan all radii and keep the largest passing one.
-      std::int32_t best = 0;  // radius-0 ball always passes (ratio 0)
-      for (int r = 1; r <= max_radius; ++r) {
-        const std::int64_t size = ball_size(r);
-        const std::int64_t plus = prefix.box_sum(cx, cy, r);
-        const std::int64_t minority = std::min(plus, size - plus);
-        const std::int64_t majority = size - minority;
-        if (static_cast<double>(minority) <=
-            ratio_threshold * static_cast<double>(majority)) {
-          best = r;
-        }
+  // Largest passing r per center; the property is not monotone in r, so
+  // every radius is tried, ascending, and the last pass wins. For a fixed
+  // radius the ratio test minority <= threshold * (size - minority) is
+  // monotone in the minority count, so it reduces to comparing the
+  // minority with the largest passing count, found once per radius by
+  // bisection on the same floating-point expression.
+  const auto passes = [&](std::int64_t minority, std::int64_t size) {
+    return static_cast<double>(minority) <=
+           ratio_threshold * static_cast<double>(size - minority);
+  };
+  std::vector<std::int64_t> plus(n);
+  for (int r = 1; r <= max_radius; ++r) {
+    const std::int64_t size = ball_size(r);
+    if (!passes(0, size)) continue;
+    std::int64_t max_minority = 0;
+    for (std::int64_t hi = size / 2; max_minority < hi;) {
+      const std::int64_t mid = (max_minority + hi + 1) / 2;
+      if (passes(mid, size)) {
+        max_minority = mid;
+      } else {
+        hi = mid - 1;
       }
-      field.radius[static_cast<std::size_t>(cy) * n + cx] = best;
+    }
+    for (int cy = 0; cy < n; ++cy) {
+      prefix.box_sums_row(cy, r, plus.data());
+      std::int32_t* best =
+          field.radius.data() + static_cast<std::size_t>(cy) * n;
+      for (int cx = 0; cx < n; ++cx) {
+        if (std::min(plus[cx], size - plus[cx]) <= max_minority) best[cx] = r;
+      }
     }
   }
+  field.cover = covering_radius(field.radius, n);
   return field;
 }
 
@@ -59,43 +73,6 @@ AlmostMonoField almost_mono_field(const SchellingModel& model, double eps,
   return almost_mono_field(
       model.spins(), model.side(),
       almost_mono_threshold(eps, model.neighborhood_size()), max_radius);
-}
-
-std::int64_t almost_region_size_of(const AlmostMonoField& field, Point u) {
-  const int n = field.n;
-  std::int64_t best = 1;
-  for (int cy = 0; cy < n; ++cy) {
-    for (int cx = 0; cx < n; ++cx) {
-      const std::int32_t r =
-          field.radius[static_cast<std::size_t>(cy) * n + cx];
-      if (r <= 0) continue;
-      if (torus_linf(Point{cx, cy}, u, n) <= r) {
-        best = std::max(best, ball_size(r));
-      }
-    }
-  }
-  return best;
-}
-
-double mean_almost_region_size(const AlmostMonoField& field,
-                               std::size_t samples, Rng& rng) {
-  assert(samples > 0);
-  const auto total =
-      static_cast<std::uint64_t>(field.n) * static_cast<std::uint64_t>(field.n);
-  double sum = 0.0;
-  for (std::size_t s = 0; s < samples; ++s) {
-    const auto id = rng.uniform_below(total);
-    const Point u{static_cast<int>(id % field.n),
-                  static_cast<int>(id / field.n)};
-    sum += static_cast<double>(almost_region_size_of(field, u));
-  }
-  return sum / static_cast<double>(samples);
-}
-
-std::int64_t largest_almost_region(const AlmostMonoField& field) {
-  std::int32_t best = 0;
-  for (const std::int32_t r : field.radius) best = std::max(best, r);
-  return ball_size(best);
 }
 
 }  // namespace seg

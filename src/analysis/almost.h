@@ -7,25 +7,22 @@
 #include <cstdint>
 #include <vector>
 
-#include "grid/point.h"
-#include "rng/rng.h"
+#include "analysis/regions.h"
 
 namespace seg {
 
 class SchellingModel;
 
-struct AlmostMonoField {
-  int n = 0;
+// radius: per-center radius of the largest almost-monochromatic ball
+// centered there (the radius-0 ball always passes: a single agent has
+// minority ratio 0); cover: its covering-radius field.
+struct AlmostMonoField : RegionField {
   double ratio_threshold = 0.0;
-  // Per-center radius of the largest almost-monochromatic ball centered
-  // there (-1 if even the radius-0 ball fails, which cannot happen since a
-  // single agent has minority ratio 0).
-  std::vector<std::int32_t> radius;
 };
 
-// Computes the per-center almost-monochromatic radii. max_radius bounds
-// the search (and the cost, O(n^2 * max_radius)); it defaults to the
-// largest proper ball, (n-1)/2, when <= 0.
+// Computes the per-center almost-monochromatic radii and their cover.
+// max_radius bounds the search (and the cost, O(n^2 * max_radius)); it
+// defaults to the largest proper ball, (n-1)/2, when <= 0.
 AlmostMonoField almost_mono_field(const std::vector<std::int8_t>& spins,
                                   int n, double ratio_threshold,
                                   int max_radius = 0);
@@ -34,13 +31,20 @@ AlmostMonoField almost_mono_field(const std::vector<std::int8_t>& spins,
 double almost_mono_threshold(double eps, int neighborhood_size);
 
 // M'(u): size of the largest almost-monochromatic ball containing u.
-std::int64_t almost_region_size_of(const AlmostMonoField& field, Point u);
+inline std::int64_t almost_region_size_of(const AlmostMonoField& field,
+                                          Point u) {
+  return region_size_of(field, u);
+}
 
 // Mean of M'(u) over uniformly sampled agents (estimator for E[M']).
-double mean_almost_region_size(const AlmostMonoField& field,
-                               std::size_t samples, Rng& rng);
+inline double mean_almost_region_size(const AlmostMonoField& field,
+                                      std::size_t samples, Rng& rng) {
+  return mean_region_size(field, samples, rng);
+}
 
-std::int64_t largest_almost_region(const AlmostMonoField& field);
+inline std::int64_t largest_almost_region(const AlmostMonoField& field) {
+  return largest_region(field);
+}
 
 // Convenience overload binding threshold = e^{-eps N(model)}.
 AlmostMonoField almost_mono_field(const SchellingModel& model, double eps,

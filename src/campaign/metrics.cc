@@ -31,11 +31,11 @@ double metric_terminated(MetricContext& ctx) {
 }
 
 double metric_fixation(MetricContext& ctx) {
-  return completely_segregated(ctx.model.spins()) ? 1.0 : 0.0;
+  return completely_segregated(ctx.spins()) ? 1.0 : 0.0;
 }
 
 double metric_majority(MetricContext& ctx) {
-  return majority_fraction(ctx.model.spins());
+  return majority_fraction(ctx.spins());
 }
 
 double metric_happy_fraction(MetricContext& ctx) {
@@ -203,17 +203,24 @@ std::shared_ptr<const GraphTopology> build_topology(const ScenarioSpec& spec,
 
 }  // namespace
 
+const std::vector<std::int8_t>& MetricContext::spins() {
+  if (spins_.empty()) spins_ = model.spins();
+  return spins_;
+}
+
 const MonoRegionField& MetricContext::mono() {
   if (!mono_) {
-    mono_ = std::make_unique<MonoRegionField>(mono_region_field(model));
+    mono_ = std::make_unique<MonoRegionField>(
+        mono_region_field(spins(), model.side()));
   }
   return *mono_;
 }
 
 const AlmostMonoField& MetricContext::almost() {
   if (!almost_) {
-    almost_ = std::make_unique<AlmostMonoField>(
-        almost_mono_field(model, spec.almost_eps));
+    almost_ = std::make_unique<AlmostMonoField>(almost_mono_field(
+        spins(), model.side(),
+        almost_mono_threshold(spec.almost_eps, model.neighborhood_size())));
   }
   return *almost_;
 }
@@ -223,7 +230,8 @@ const ClusterStats& MetricContext::clusters() {
     // The streaming engine tracked the whole run incrementally, so the
     // O(n^2) rescan is replaced by an O(1) read when one is attached.
     clusters_ = std::make_unique<ClusterStats>(
-        streaming ? streaming->cluster_stats() : cluster_stats(model));
+        streaming ? streaming->cluster_stats()
+                  : cluster_stats(spins(), model.side()));
   }
   return *clusters_;
 }

@@ -48,12 +48,16 @@ class MetricContext {
   // suite pins streaming == batch, so the values are identical).
   const StreamingObservables* streaming;
 
-  // Lazily computed, cached for the lifetime of the replica.
+  // Lazily computed, cached for the lifetime of the replica. spins() is
+  // the one unpacked snapshot of the final configuration that every
+  // metric reading site values shares.
+  const std::vector<std::int8_t>& spins();
   const MonoRegionField& mono();
   const AlmostMonoField& almost();
   const ClusterStats& clusters();
 
  private:
+  std::vector<std::int8_t> spins_;  // empty until first read
   std::unique_ptr<MonoRegionField> mono_;
   std::unique_ptr<AlmostMonoField> almost_;
   std::unique_ptr<ClusterStats> clusters_;

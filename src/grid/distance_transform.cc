@@ -1,82 +1,123 @@
 #include "grid/distance_transform.h"
 
+#include <algorithm>
 #include <cassert>
 #include <vector>
 
 #include "grid/point.h"
 
 namespace seg {
+namespace {
+
+// One sequential raster sweep: rows top to bottom, columns left to right,
+// each site relaxed against its up-left, up, up-right and left neighbors
+// (distance + 1). A sweep cannot look across the torus seam it travels
+// toward, so the first columns of a row are revisited from its last
+// column, and the first rows from the last row, for as long as a value
+// still drops. On return every site satisfies all four relaxations, which
+// is what makes the forward-then-backward pair exact.
+void forward_sweep(std::vector<std::int32_t>& dist, int n,
+                   std::vector<std::int32_t>& above) {
+  const auto relax_row = [&](int y) {
+    std::int32_t* row = dist.data() + static_cast<std::size_t>(y) * n;
+    const std::int32_t* up =
+        dist.data() + static_cast<std::size_t>(y == 0 ? n - 1 : y - 1) * n;
+    std::int32_t changed = 0;
+    const auto relax = [&](int x, std::int32_t neighbor) {
+      const std::int32_t d = std::min(row[x], neighbor + 1);
+      changed |= d ^ row[x];
+      row[x] = d;
+    };
+    ring_triples(up, above.data(), n, [](std::int32_t a, std::int32_t b,
+                                         std::int32_t c) {
+      return std::min({a, b, c});
+    });
+    for (int x = 0; x < n; ++x) relax(x, above[x]);
+    std::int32_t left = row[n - 1];
+    for (int x = 0; x < n; ++x) {
+      relax(x, left);
+      left = row[x];
+    }
+    // Carry the last column across the seam into the first ones.
+    for (int x = 0; x < n && left + 1 < row[x]; ++x) {
+      relax(x, left);
+      left = row[x];
+    }
+    return changed != 0;
+  };
+  for (int y = 0; y < n; ++y) relax_row(y);
+  // The first rows read the last row before it was final.
+  for (int y = 0; relax_row(y); y = y + 1 == n ? 0 : y + 1) {
+  }
+}
+
+// Relaxes dist (0 at the sources, an upper bound elsewhere) to the exact
+// chessboard distance, capped by those bounds: a forward sweep, then the
+// backward one as a forward sweep of the grid rotated by 180 degrees.
+void chessboard_sweeps(std::vector<std::int32_t>& dist, int n) {
+  std::vector<std::int32_t> above(n);
+  forward_sweep(dist, n, above);
+  std::reverse(dist.begin(), dist.end());
+  forward_sweep(dist, n, above);
+  std::reverse(dist.begin(), dist.end());
+}
+
+}  // namespace
 
 std::vector<std::int32_t> chessboard_distance_torus(
     const std::vector<std::uint8_t>& sources, int n) {
   assert(n > 0);
   const std::size_t total = static_cast<std::size_t>(n) * n;
   assert(sources.size() == total);
-  std::vector<std::int32_t> dist(total, -1);
-
-  // Ring buffer BFS frontier; each site enters the queue at most once.
-  std::vector<std::uint32_t> queue;
-  queue.reserve(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    if (sources[i]) {
-      dist[i] = 0;
-      queue.push_back(static_cast<std::uint32_t>(i));
-    }
+  if (std::none_of(sources.begin(), sources.end(),
+                   [](std::uint8_t s) { return s != 0; })) {
+    return std::vector<std::int32_t>(total, -1);
   }
-  if (queue.empty()) return dist;
-
-  static constexpr int kDx[8] = {-1, 0, 1, -1, 1, -1, 0, 1};
-  static constexpr int kDy[8] = {-1, -1, -1, 0, 0, 1, 1, 1};
-
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const std::uint32_t cur = queue[head];
-    const int x = static_cast<int>(cur % n);
-    const int y = static_cast<int>(cur / n);
-    const std::int32_t d = dist[cur];
-    for (int k = 0; k < 8; ++k) {
-      const int nx = torus_wrap(x + kDx[k], n);
-      const int ny = torus_wrap(y + kDy[k], n);
-      const std::size_t ni = static_cast<std::size_t>(ny) * n + nx;
-      if (dist[ni] < 0) {
-        dist[ni] = d + 1;
-        queue.push_back(static_cast<std::uint32_t>(ni));
-      }
-    }
-  }
+  // Torus distances are at most n/2, so n stands in for infinity.
+  std::vector<std::int32_t> dist(total);
+  for (std::size_t i = 0; i < total; ++i) dist[i] = sources[i] ? 0 : n;
+  chessboard_sweeps(dist, n);
   return dist;
 }
 
 std::vector<std::int32_t> mono_ball_radius(const std::vector<std::int8_t>& spins,
                                            int n) {
+  assert(n > 0);
   const std::size_t total = static_cast<std::size_t>(n) * n;
   assert(spins.size() == total);
 
-  // A site c's nearest "obstacle" is the nearest site of the opposite spin.
-  // Run one BFS per spin value, with the opposite-type sites as sources.
-  std::vector<std::uint8_t> plus_sources(total), minus_sources(total);
-  bool any_plus = false, any_minus = false;
-  for (std::size_t i = 0; i < total; ++i) {
-    if (spins[i] > 0) {
-      plus_sources[i] = 1;
-      any_plus = true;
-    } else {
-      minus_sources[i] = 1;
-      any_minus = true;
+  // Plus-site count of each row triple, then of each 3x3 block: a site is
+  // in B exactly when its block holds both types.
+  std::vector<std::uint8_t> triple(total);
+  for (int y = 0; y < n; ++y) {
+    const std::size_t row = static_cast<std::size_t>(y) * n;
+    ring_triples(spins.data() + row, triple.data() + row, n,
+                 [](std::int8_t a, std::int8_t b, std::int8_t c) {
+                   return static_cast<std::uint8_t>((a > 0) + (b > 0) +
+                                                    (c > 0));
+                 });
+  }
+  // B is seeded at 0 and every other site at the cap, so the transform
+  // yields min((n-1)/2, dist(c, B)) directly; with no B (a monochromatic
+  // grid) every ball qualifies up to the cap.
+  const std::int32_t max_radius = (n - 1) / 2;
+  std::vector<std::int32_t> radius(total);
+  std::int32_t boundary_sites = 0;
+  for (int y = 0; y < n; ++y) {
+    const std::uint8_t* up =
+        triple.data() + static_cast<std::size_t>(y == 0 ? n - 1 : y - 1) * n;
+    const std::uint8_t* mid = triple.data() + static_cast<std::size_t>(y) * n;
+    const std::uint8_t* down =
+        triple.data() + static_cast<std::size_t>(y + 1 == n ? 0 : y + 1) * n;
+    std::int32_t* r = radius.data() + static_cast<std::size_t>(y) * n;
+    for (int x = 0; x < n; ++x) {
+      const std::int32_t plus = up[x] + mid[x] + down[x];
+      const std::int32_t boundary = (plus != 0) & (plus != 9);
+      r[x] = boundary ? 0 : max_radius;
+      boundary_sites += boundary;
     }
   }
-
-  const std::int32_t max_radius = (n - 1) / 2;
-  std::vector<std::int32_t> radius(total, max_radius);
-  if (!any_plus || !any_minus) return radius;  // fully monochromatic grid
-
-  // Distance from each site to the nearest minus site / plus site.
-  const auto dist_to_minus = chessboard_distance_torus(minus_sources, n);
-  const auto dist_to_plus = chessboard_distance_torus(plus_sources, n);
-  for (std::size_t i = 0; i < total; ++i) {
-    const std::int32_t d =
-        spins[i] > 0 ? dist_to_minus[i] : dist_to_plus[i];
-    radius[i] = std::min(max_radius, d - 1);
-  }
+  if (boundary_sites > 0) chessboard_sweeps(radius, n);
   return radius;
 }
 

@@ -1,5 +1,8 @@
-// Exact chessboard (l-infinity) distance transform on the torus via
-// multi-source BFS over the 8-connected lattice.
+// Exact chessboard (l-infinity) distance transform on the torus: the
+// two-pass sequential transform of Rosenfeld & Pfaltz ("Sequential
+// operations in digital picture processing", JACM 1966) — one forward and
+// one backward raster sweep — with the rows and columns that a sweep
+// reaches across the torus seam revisited until they settle.
 //
 // The monochromatic region of an agent u (paper, Sec. II-A "Segregation")
 // is the largest-radius l-infinity ball of a single type containing u.
@@ -23,7 +26,13 @@ std::vector<std::int32_t> chessboard_distance_torus(
 // radius(c) = chessboard distance from c to the nearest site whose spin
 // differs from spin(c), minus 1. If the whole grid is monochromatic the
 // radius is reported as floor((n-1)/2) (the largest ball that is still a
-// neighborhood, i.e. visits no site twice).
+// neighborhood, i.e. visits no site twice), and every radius is capped
+// there.
+//
+// Computed as one transform: with B the sites that have an opposite-type
+// 8-neighbor, radius(c) = min((n-1)/2, dist(c, B)), because the last
+// same-type site on a geodesic from c to its nearest opposite site lies
+// in B.
 std::vector<std::int32_t> mono_ball_radius(const std::vector<std::int8_t>& spins,
                                            int n);
 

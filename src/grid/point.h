@@ -49,4 +49,13 @@ inline long long torus_l2_sq(Point a, Point b, int n) {
   return dx * dx + dy * dy;
 }
 
+// out[x] = f(in[x - 1], in[x], in[x + 1]) around a ring of n sites, with
+// the two wrapped ends peeled off so the middle loop vectorizes.
+template <typename In, typename Out, typename F>
+inline void ring_triples(const In* in, Out* out, int n, F f) {
+  out[0] = f(in[n - 1], in[0], in[n > 1 ? 1 : 0]);
+  for (int x = 1; x + 1 < n; ++x) out[x] = f(in[x - 1], in[x], in[x + 1]);
+  if (n > 1) out[n - 1] = f(in[n - 2], in[n - 1], in[0]);
+}
+
 }  // namespace seg

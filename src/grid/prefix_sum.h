@@ -28,6 +28,11 @@ class PrefixSum2D {
   // Requires 2r+1 <= n.
   std::int64_t box_sum(int cx, int cy, int r) const;
 
+  // box_sum(cx, cy, r) for every cx in [0, n), written to out[cx]: one
+  // contiguous pass with no per-box wrapping. Requires 0 <= cy < n and
+  // 2r+1 <= n.
+  void box_sums_row(int cy, int r, std::int64_t* out) const;
+
   // Total sum of the grid.
   std::int64_t total() const;
 

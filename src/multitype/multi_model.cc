@@ -39,10 +39,9 @@ MultiTypeModel::MultiTypeModel(const MultiParams& params,
   // its window neighbors — O(n^2 N) but only at construction, and the
   // span iteration keeps the writes row-contiguous per type plane.
   const int n = params_.n;
-  const int q = params_.q;
   for (std::uint32_t id = 0; id < types_.size(); ++id) {
     const std::uint8_t t = types_[id];
-    assert(t < q);
+    assert(t < params_.q);
     for_each_window_cell(static_cast<int>(id % n),
                          static_cast<int>(id / n), params_.w, n,
                          [&](std::uint32_t j) { ++counts_[count_index(j, t)]; });
