@@ -1,86 +1,13 @@
 // campaign_runner: run a scenario campaign from the command line.
 //
-//   ./campaign_runner --scenario phase_diagram --seed 37 --threads 8
-//   ./campaign_runner --spec my_sweep.scenario --out sweep.csv
-//   ./campaign_runner --list
+//   ./campaign_runner [--scenario NAME | --spec FILE] [--key-name VALUE]...
 //
-// Scenarios come from two places: the built-in campaigns (shared with the
-// bench drivers, see src/campaign/builtin.h) selected with --scenario, or
-// a declarative key=value spec file (format documented in the README)
-// loaded with --spec and run with the built-in Schelling replica.
-//
-// Determinism: for a fixed --seed the aggregated output (CSV included) is
-// bitwise identical at any --threads, and identical across an interrupted
-// run resumed with --checkpoint/--resume.
-//
-// Flags:
-//   --scenario NAME    built-in campaign (see --list)
-//   --spec FILE        scenario spec file (overrides --scenario)
-//   --seed S           campaign seed (default 37)
-//   --threads T        worker threads (default 1, 0 = hardware)
-//   --replicas R       override replica count
-//   --n N  --w W       override built-in grid side / horizon (where used)
-//   --shards K         lattice shards per Glauber replica (sharded sweep
-//                      engine; K=1 keeps the serial engine, trajectories
-//                      are deterministic per K — see README "Scaling runs").
-//                      Non-torus points shard by greedy-BFS graph partition
-//   --topology LIST    override the topology axis (comma-separated:
-//                      torus | lollipop | random_regular | small_world |
-//                      edge_list; see README "Graph topologies")
-//   --graph-nodes N    random_regular node count (0 = n*n)
-//   --graph-degree D   random_regular degree
-//   --graph-clique M   lollipop clique size
-//   --graph-path L     lollipop path length
-//   --graph-beta B     small_world rewiring probability
-//   --graph-seed S     graph builder seed
-//   --graph-file F     edge_list file ("u v" per line; spec campaigns)
-//   --out FILE         aggregated CSV (default <name>.csv)
-//   --manifest FILE    run manifest (default <name>.manifest)
-//   --checkpoint FILE  checkpoint path (enables periodic checkpointing)
-//   --checkpoint-every K   replicas between checkpoint writes (default 64)
-//   --resume           load the checkpoint before running
-//   --max-new-replicas K   stop scheduling after K new replicas (budget /
-//                      smoke tests; --stop-after is an alias). Points left
-//                      unresolved stay open and resumable — never stopped.
-//   --quiet            skip the console table
-//   --list             list built-in scenarios and registry metrics
-//
-// Adaptive campaigns (README "Adaptive campaigns"; the spec keys
-// stop_rule / stop_delta / stop_alpha / min_replicas / max_replicas /
-// stop_metric / stop_range / stop_threshold can also live in the spec
-// file — the flags override them):
-//   --stop-rule R      none | hoeffding | bernstein | pass_rate
-//   --stop-delta D     target confidence-sequence half-width
-//   --stop-alpha A     anytime miscoverage budget (default 0.05)
-//   --min-replicas K   replica floor before a rule may fire
-//   --max-replicas K   per-point replica cap (0 = the replicas value)
-//   --stop-metric M    watched metric (default: first campaign metric)
-//
-// Telemetry (see README "Telemetry & tracing"; any of these flags turns
-// the runtime telemetry registry on, and the manifest then records a
-// [telemetry] summary section):
-//   --telemetry        enable counters/gauges without other output
-//   --trace FILE       write a Chrome trace / Perfetto JSON of the run
-//   --progress         live one-line status on stderr (in-place on a TTY)
-//   --progress-file F  append machine-readable progress records (JSONL)
-//   --progress-every S progress sampling period in seconds (default 1.0)
-//
-// Observability endpoint (README "Observability endpoint"):
-//   --metrics-port N   serve GET /metrics (Prometheus text format),
-//                      /healthz and /progress on 127.0.0.1:N for the
-//                      run's duration; 0 binds an ephemeral port, printed
-//                      to stderr and recorded in the manifest
-//   --metrics-debug    also serve GET /debug/flight (flight-recorder dump)
-//   --report FILE      end-of-run structured report; ".md" renders
-//                      markdown, everything else report.json
-//   --flight-dump FILE enable the flight recorder and install the crash
-//                      handler: on SIGSEGV/SIGABRT the last events are
-//                      dumped to FILE before the process dies
-//
-// None of the telemetry paths touch any RNG stream: trajectories and all
-// outputs are bitwise identical with and without these flags — including
-// with a live scraper hitting the endpoint (the handlers read registry
-// snapshots only).
+// Every spec key is also a --key-name flag that overrides the builtin's
+// or the spec file's value; `--help` lists them and the run-only flags.
+// For a fixed --seed the outputs are bitwise identical at any --threads
+// and across an interrupted run resumed with --checkpoint/--resume, and
+// no telemetry flag touches any RNG stream.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -98,47 +25,60 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "util/args.h"
+#include "util/parse.h"
 
 namespace {
 
-// Comma-separated --topology list; false (with a message) on unknown
-// family names.
-bool parse_topology_list(const std::string& value,
-                         std::vector<seg::TopologyFamily>* out) {
-  out->clear();
-  std::string item;
-  std::istringstream in(value);
-  while (std::getline(in, item, ',')) {
-    if (item.empty()) continue;
-    seg::TopologyFamily f;
-    if (!seg::parse_topology(item, &f)) {
-      std::fprintf(stderr,
-                   "--topology: unknown family '%s' (torus | lollipop | "
-                   "random_regular | small_world | edge_list)\n",
-                   item.c_str());
-      return false;
-    }
-    out->push_back(f);
-  }
-  if (out->empty()) {
-    std::fprintf(stderr, "--topology needs at least one family\n");
-    return false;
-  }
-  return true;
+// Flags that steer the run but are not part of the spec (and so never
+// enter its canonical text or hash).
+struct RunFlag {
+  const char* name;
+  const char* help;
+};
+
+constexpr RunFlag kRunFlags[] = {
+    {"scenario", "built-in campaign NAME (default phase_diagram)"},
+    {"spec", "key = value spec FILE, run instead of --scenario"},
+    {"seed", "campaign seed (default 37)"},
+    {"threads", "worker threads (default 1, 0 = hardware)"},
+    {"out", "aggregated CSV path (default <name>.csv)"},
+    {"manifest", "run manifest path (default <name>.manifest)"},
+    {"checkpoint", "checkpoint path; enables checkpointing"},
+    {"checkpoint-every", "replicas between checkpoints (default 64)"},
+    {"resume", "load the checkpoint before running"},
+    {"max-new-replicas", "stop after K new replicas; open points resumable"},
+    {"quiet", "skip the console table"},
+    {"list", "list built-in scenarios and registry metrics"},
+    {"help", "print this help"},
+    {"telemetry", "enable counters and gauges"},
+    {"trace", "write a Chrome trace / Perfetto JSON of the run to FILE"},
+    {"progress", "live one-line status on stderr"},
+    {"progress-file", "append JSONL progress records to FILE"},
+    {"progress-every", "progress period in seconds (default 1.0)"},
+    {"metrics-port", "serve /metrics, /healthz, /progress on port (0 = any)"},
+    {"metrics-debug", "also serve /debug/flight"},
+    {"report", "end-of-run report FILE (.md: markdown, else JSON)"},
+    {"flight-dump", "dump the flight recorder to FILE on a crash"},
+};
+
+std::string dashed(std::string key) {
+  std::replace(key.begin(), key.end(), '_', '-');
+  return key;
 }
 
-// Non-negative CLI integer; exits with a usage error on negative values
-// (a bare size_t cast would wrap -1 to ~2^64).
-bool get_size(const seg::ArgParser& args, const std::string& key,
-              std::size_t def, std::size_t* out) {
-  const std::int64_t v = args.get_int(key, static_cast<std::int64_t>(def));
-  if (v < 0) {
-    std::fprintf(stderr, "--%s must be >= 0 (got %lld)\n", key.c_str(),
-                 static_cast<long long>(v));
-    return false;
+int print_help() {
+  std::printf("usage: campaign_runner [--scenario NAME | --spec FILE] "
+              "[--key-name VALUE]...\n\nrun flags:\n");
+  for (const RunFlag& f : kRunFlags) {
+    std::printf("  --%-22s %s\n", f.name, f.help);
   }
-  *out = static_cast<std::size_t>(v);
-  return true;
+  std::printf("\nspec keys (override the scenario's value; lists are "
+              "comma-separated):\n");
+  for (const seg::SpecKeyInfo& key : seg::spec_keys()) {
+    std::printf("  --%-22s %s\n", dashed(key.name).c_str(),
+                key.help.c_str());
+  }
+  return 0;
 }
 
 int list_scenarios() {
@@ -153,53 +93,53 @@ int list_scenarios() {
   return 0;
 }
 
+// Applies every flag that is not a run flag to `spec` as the spec key
+// of the same name with dashes for underscores. False, after printing
+// why, on a malformed value or on a flag that is neither (naming the
+// nearest known flag).
+bool apply_spec_flags(const seg::ArgParser& args, seg::ScenarioSpec* spec) {
+  std::vector<std::string> known;
+  for (const RunFlag& f : kRunFlags) known.emplace_back(f.name);
+  for (const seg::SpecKeyInfo& key : seg::spec_keys()) {
+    known.push_back(dashed(key.name));
+  }
+  for (const auto& [flag, value] : args.flags()) {
+    const auto it = std::find(known.begin(), known.end(), flag);
+    if (it == known.end()) {
+      std::fprintf(stderr, "unknown flag --%s (did you mean --%s?)\n",
+                   flag.c_str(), seg::nearest_name(flag, known).c_str());
+      return false;
+    }
+    // `known` lists the run flags first; the rest are spec keys.
+    if (it - known.begin() < std::ssize(kRunFlags)) continue;
+    std::string key = flag, error;
+    std::replace(key.begin(), key.end(), '-', '_');
+    if (!spec->set(key, value, &error)) {
+      std::fprintf(stderr, "--%s: %s\n", flag.c_str(), error.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const seg::ArgParser args(argc, argv);
+  if (!args.positional().empty()) {
+    std::fprintf(stderr, "unexpected argument '%s' (see --help)\n",
+                 args.positional()[0].c_str());
+    return 1;
+  }
+  if (args.get_bool("help", false)) return print_help();
   if (args.get_bool("list", false)) return list_scenarios();
 
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 37));
+  // The scenario's spec, then the --key-name overrides, all before the
+  // points are expanded and the replica fn captures the spec.
   const std::string spec_path = args.get_string("spec", "");
-  const std::string scenario = args.get_string("scenario", "phase_diagram");
-
-  std::size_t threads = 1, replicas_override = 0, max_new_replicas = 0,
-              stop_after_alias = 0, checkpoint_every = 64, n_override = 0,
-              w_override = 0, shards_override = 0, min_replicas_override = 0,
-              max_replicas_override = 0;
-  if (!get_size(args, "threads", 1, &threads) ||
-      !get_size(args, "replicas", 0, &replicas_override) ||
-      !get_size(args, "max-new-replicas", 0, &max_new_replicas) ||
-      !get_size(args, "stop-after", 0, &stop_after_alias) ||
-      !get_size(args, "checkpoint-every", 64, &checkpoint_every) ||
-      !get_size(args, "n", 0, &n_override) ||
-      !get_size(args, "w", 0, &w_override) ||
-      !get_size(args, "shards", 0, &shards_override) ||
-      !get_size(args, "min-replicas", 0, &min_replicas_override) ||
-      !get_size(args, "max-replicas", 0, &max_replicas_override)) {
-    return 1;
-  }
-  if (max_new_replicas == 0) max_new_replicas = stop_after_alias;
-
-  std::size_t graph_nodes = 0, graph_degree = 0, graph_clique = 0,
-              graph_path = 0, graph_seed = 0;
-  if (!get_size(args, "graph-nodes", 0, &graph_nodes) ||
-      !get_size(args, "graph-degree", 0, &graph_degree) ||
-      !get_size(args, "graph-clique", 0, &graph_clique) ||
-      !get_size(args, "graph-path", 0, &graph_path) ||
-      !get_size(args, "graph-seed", 0, &graph_seed)) {
-    return 1;
-  }
-  const double graph_beta = args.get_double("graph-beta", -1.0);
-  const std::string graph_file = args.get_string("graph-file", "");
-  std::vector<seg::TopologyFamily> topology_override;
-  if (args.has("topology") &&
-      !parse_topology_list(args.get_string("topology", ""),
-                           &topology_override)) {
-    return 1;
-  }
-
-  seg::BuiltinCampaign campaign;
+  const std::string builtin =
+      spec_path.empty() ? args.get_string("scenario", "phase_diagram") : "";
+  seg::ScenarioSpec spec;
   if (!spec_path.empty()) {
     std::ifstream in(spec_path);
     if (!in) {
@@ -209,104 +149,32 @@ int main(int argc, char** argv) {
     std::ostringstream text;
     text << in.rdbuf();
     std::string error;
-    if (!seg::ScenarioSpec::parse(text.str(), &campaign.spec, &error)) {
+    if (!seg::ScenarioSpec::parse(text.str(), &spec, &error)) {
       std::fprintf(stderr, "bad spec %s: %s\n", spec_path.c_str(),
                    error.c_str());
       return 1;
     }
-    if (replicas_override > 0) campaign.spec.replicas = replicas_override;
-    if (shards_override > 0) campaign.spec.shards = shards_override;
-    // Topology overrides land before the replica fn captures the spec.
-    if (!topology_override.empty()) campaign.spec.topology = topology_override;
-    if (graph_nodes > 0) campaign.spec.graph_nodes = graph_nodes;
-    if (graph_degree > 0) {
-      campaign.spec.graph_degree = static_cast<int>(graph_degree);
-    }
-    if (graph_clique > 0) {
-      campaign.spec.graph_clique = static_cast<int>(graph_clique);
-    }
-    if (graph_path > 0) campaign.spec.graph_path = static_cast<int>(graph_path);
-    if (graph_beta >= 0.0) campaign.spec.graph_beta = graph_beta;
-    if (graph_seed > 0) campaign.spec.graph_seed = graph_seed;
-    if (!graph_file.empty()) campaign.spec.graph_file = graph_file;
-    std::string override_error;
-    if (!campaign.spec.valid(&override_error)) {
-      std::fprintf(stderr, "bad spec after overrides: %s\n",
-                   override_error.c_str());
-      return 1;
-    }
-    campaign.points = seg::expand_grid(campaign.spec);
-    campaign.metric_names = seg::expand_metric_names(campaign.spec.metrics);
-    campaign.replica = seg::make_schelling_replica(campaign.spec);
-  } else {
-    const seg::BuiltinOverrides overrides{
-        .n = static_cast<int>(n_override),
-        .w = static_cast<int>(w_override),
-        .replicas = replicas_override,
-        .shards = shards_override,
-        .topology = topology_override,
-        .graph_nodes = graph_nodes,
-        .graph_degree = static_cast<int>(graph_degree),
-        .graph_clique = static_cast<int>(graph_clique),
-        .graph_path = static_cast<int>(graph_path),
-        .graph_beta = graph_beta,
-        .graph_seed = graph_seed};
-    if (!seg::make_builtin_campaign(scenario, overrides, &campaign)) {
-      std::fprintf(stderr, "unknown scenario '%s' (try --list)\n",
-                   scenario.c_str());
-      return 1;
-    }
-  }
-
-  // Stopping-rule overrides apply after the campaign is built: they only
-  // steer the engine's replica scheduling, never the replica function.
-  const std::string stop_rule = args.get_string("stop-rule", "");
-  if (!stop_rule.empty() &&
-      !seg::parse_stop_rule(stop_rule, &campaign.spec.stop.rule)) {
-    std::fprintf(stderr, "unknown --stop-rule '%s' (none | hoeffding | "
-                         "bernstein | pass_rate)\n", stop_rule.c_str());
+  } else if (!seg::builtin_spec(builtin, {}, &spec)) {
+    std::fprintf(stderr, "unknown scenario '%s' (try --list)\n",
+                 builtin.c_str());
     return 1;
   }
-  campaign.spec.stop.delta =
-      args.get_double("stop-delta", campaign.spec.stop.delta);
-  campaign.spec.stop.alpha =
-      args.get_double("stop-alpha", campaign.spec.stop.alpha);
-  if (min_replicas_override > 0) {
-    campaign.spec.stop.min_replicas = min_replicas_override;
+  if (!apply_spec_flags(args, &spec)) return 1;
+  seg::BuiltinCampaign campaign;
+  std::string error;
+  if (!seg::build_campaign(builtin, spec, &campaign, &error)) {
+    std::fprintf(stderr, "bad spec: %s\n", error.c_str());
+    return 1;
   }
-  if (max_replicas_override > 0) {
-    campaign.spec.stop.max_replicas = max_replicas_override;
-  }
-  const std::string stop_metric = args.get_string("stop-metric", "");
-  if (!stop_metric.empty()) campaign.spec.stop.metric = stop_metric;
   const bool adaptive = campaign.spec.stop.rule != seg::StopRule::kNone;
-  if (adaptive) {
-    // Validate against the campaign's actual metric columns — built-in
-    // campaigns with custom replicas may not use spec.metrics.
-    const seg::StopConfig& stop = campaign.spec.stop;
-    if (!stop.metric.empty() &&
-        seg::metric_index(campaign.metric_names, stop.metric) >=
-            campaign.metric_names.size()) {
-      std::fprintf(stderr, "--stop-metric '%s' is not a campaign metric\n",
-                   stop.metric.c_str());
-      return 1;
-    }
-    if (!(stop.delta > 0.0) || !(stop.alpha > 0.0 && stop.alpha < 1.0) ||
-        stop.min_replicas == 0 ||
-        campaign.spec.layout_replicas() < stop.min_replicas) {
-      std::fprintf(stderr, "bad stopping config: need stop_delta > 0, "
-                           "stop_alpha in (0,1), and min_replicas <= the "
-                           "replica cap\n");
-      return 1;
-    }
-  }
 
+  const std::uint64_t seed = args.get_u64("seed", 37);
   seg::CampaignOptions options;
-  options.threads = threads;
+  options.threads = args.get_u64("threads", 1);
   options.checkpoint_path = args.get_string("checkpoint", "");
-  options.checkpoint_every = checkpoint_every;
+  options.checkpoint_every = args.get_u64("checkpoint-every", 64);
   options.resume = args.get_bool("resume", false);
-  options.max_new_replicas = max_new_replicas;
+  options.max_new_replicas = args.get_u64("max-new-replicas", 0);
 
   const std::string trace_path = args.get_string("trace", "");
   const bool progress_line = args.get_bool("progress", false);
@@ -316,9 +184,11 @@ int main(int argc, char** argv) {
   const bool metrics_debug = args.get_bool("metrics-debug", false);
   const std::string report_path = args.get_string("report", "");
   const std::string flight_dump = args.get_string("flight-dump", "");
-  // All numeric flags are read by now; a malformed value ("--seed 10x",
-  // an overflowing count) is a hard usage error, not a silent fallback
-  // to the default.
+  const bool quiet = args.get_bool("quiet", false);
+  const bool telemetry_flag = args.get_bool("telemetry", false);
+  // Every run flag is read by now; a malformed value ("--seed 10x", an
+  // overflowing count, "--resume=maybe") is a hard usage error, not a
+  // silent fallback to the default.
   if (!args.errors().empty()) {
     for (const std::string& e : args.errors()) {
       std::fprintf(stderr, "%s\n", e.c_str());
@@ -330,7 +200,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const bool metrics_endpoint = metrics_port_arg >= 0;
-  const bool telemetry = args.get_bool("telemetry", false) ||
+  const bool telemetry = telemetry_flag ||
                          !trace_path.empty() || progress_line ||
                          !progress_file.empty() || metrics_endpoint ||
                          !report_path.empty();
@@ -344,27 +214,20 @@ int main(int argc, char** argv) {
 
   const std::size_t total =
       campaign.points.size() * campaign.spec.layout_replicas();
+  std::printf("campaign '%s': %zu points x %s%zu replicas",
+              campaign.spec.name.c_str(), campaign.points.size(),
+              adaptive ? "<= " : "", campaign.spec.layout_replicas());
   if (adaptive) {
-    std::printf("campaign '%s': %zu points x <= %zu replicas (rule %s, "
-                "delta %g, alpha %g, min %zu), seed %llu, %zu thread(s), "
-                "%zu shard(s)/replica\n",
-                campaign.spec.name.c_str(), campaign.points.size(),
-                campaign.spec.layout_replicas(),
+    std::printf(" (rule %s, delta %g, alpha %g, min %zu)",
                 seg::stop_rule_name(campaign.spec.stop.rule),
                 campaign.spec.stop.delta, campaign.spec.stop.alpha,
-                campaign.spec.stop.min_replicas,
-                static_cast<unsigned long long>(seed),
-                options.threads == 0 ? 0 : options.threads,
-                campaign.spec.shards);
+                campaign.spec.stop.min_replicas);
   } else {
-    std::printf("campaign '%s': %zu points x %zu replicas = %zu runs, "
-                "seed %llu, %zu thread(s), %zu shard(s)/replica\n",
-                campaign.spec.name.c_str(), campaign.points.size(),
-                campaign.spec.replicas, total,
-                static_cast<unsigned long long>(seed),
-                options.threads == 0 ? 0 : options.threads,
-                campaign.spec.shards);
+    std::printf(" = %zu runs", total);
   }
+  std::printf(", seed %llu, %zu thread(s), %zu shard(s)/replica\n",
+              static_cast<unsigned long long>(seed), options.threads,
+              campaign.spec.shards);
 
   seg::obs::TraceSession trace_session;
   if (!trace_path.empty()) trace_session.start();
@@ -427,7 +290,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!args.get_bool("quiet", false)) {
+  if (!quiet) {
     seg::ConsoleSink console;
     console.write(campaign.spec, result);
   }

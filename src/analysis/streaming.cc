@@ -224,8 +224,11 @@ bool StreamingObservables::ring_connected(std::uint32_t id,
   return arcs_with_cardinal <= 1;
 }
 
-void StreamingObservables::cluster_remove(std::uint32_t id,
-                                          std::int8_t old_value) {
+// Cache-line aligned: this is the observer's hottest function, and its
+// per-flip cost swung by ~30% on a 4-vCPU Xeon (family 6, model 207) as
+// unrelated code elsewhere in the link moved its start by 16-byte steps.
+[[gnu::aligned(64)]] void StreamingObservables::cluster_remove(
+    std::uint32_t id, std::int8_t old_value) {
   const std::uint32_t root = dsu_.find(node_of_[id]);
   const std::int64_t s = dsu_.size_of(root);
   assert(s >= 1);

@@ -10,163 +10,156 @@
 namespace seg {
 namespace {
 
-BuiltinCampaign phase_diagram_campaign(const BuiltinOverrides& overrides) {
-  BuiltinCampaign out;
-  out.spec.name = "phase_diagram";
-  out.spec.n = {overrides.n > 0 ? overrides.n : 64};
-  out.spec.w = {overrides.w > 0 ? overrides.w : 2};
-  out.spec.tau = {0.30, 0.36, 0.40, 0.44, 0.48, 0.50};
-  out.spec.p = {0.50, 0.55, 0.60, 0.70, 0.80, 0.90};
-  out.spec.replicas = overrides.replicas > 0 ? overrides.replicas : 3;
-  if (overrides.shards > 0) out.spec.shards = overrides.shards;
-  out.spec.region_samples = 16;
-  out.spec.metrics = {"mean_mono_region", "fixation", "majority", "flips"};
-  out.points = expand_grid(out.spec);
-  out.metric_names = out.spec.metrics;
-  out.replica = make_schelling_replica(out.spec);
-  return out;
-}
-
-BuiltinCampaign region_size_campaign(const BuiltinOverrides& overrides) {
-  BuiltinCampaign out;
-  out.spec.name = "region_size";
-  out.spec.tau = {0.45, 0.40, 0.55};
-  out.spec.w = {1, 2, 3, 4, 5};
-  out.spec.replicas = overrides.replicas > 0 ? overrides.replicas : 3;
-  if (overrides.shards > 0) out.spec.shards = overrides.shards;
-  out.spec.region_samples = 24;
-  out.spec.almost_eps = 0.1;
-  // The cluster/interface companions to the region metrics come from the
-  // streaming engine — tracked over the whole trajectory in O(1) per
-  // flip, never by an end-state rescan.
-  out.spec.metrics = {"mean_mono_region", "mean_almost_region",
-                      "streaming_largest_cluster",
-                      "streaming_interface_length"};
-  out.points = expand_grid(out.spec);
-  // The bench ties the torus side to the horizon so the grid stays large
-  // relative to the neighborhood: n = max(64, 24w).
-  for (ScenarioPoint& pt : out.points) {
+// The bench ties the torus side to the horizon so the grid stays large
+// relative to the neighborhood: n = max(64, 24w).
+void tie_side_to_horizon(std::vector<ScenarioPoint>& points) {
+  for (ScenarioPoint& pt : points) {
     pt.params.n = std::max(64, 24 * pt.params.w);
   }
-  out.metric_names = expand_metric_names(out.spec.metrics);
-  out.replica = make_schelling_replica(out.spec);
-  return out;
 }
 
-BuiltinCampaign percolation_stretch_campaign(
-    const BuiltinOverrides& overrides) {
-  BuiltinCampaign out;
-  out.spec.name = "percolation_stretch";
-  out.spec.n = {overrides.n > 0 ? overrides.n : 192};  // box side L
-  out.spec.p = {0.65, 0.70, 0.75, 0.85, 0.95};
-  out.spec.replicas = overrides.replicas > 0 ? overrides.replicas : 24;
-  out.spec.metrics = {"connected", "stretch", "tail_125"};
-  out.points = expand_grid(out.spec);
-  out.metric_names = out.spec.metrics;
-  out.replica = [](const ScenarioPoint& point, std::size_t /*replica*/,
-                   std::uint64_t replica_seed) {
-    Rng rng = Rng::stream(replica_seed, 0);
-    const int L = point.params.n;
-    const SiteField field(L, point.params.p, rng);
-    const StretchSample s =
-        chemical_stretch(field, L / 8, L / 2, 7 * L / 8, L / 2);
-    // Unconnected pairs contribute zeros; conditional means are recovered
-    // downstream as sum(stretch) / sum(connected).
-    return std::vector<double>{s.connected ? 1.0 : 0.0,
-                               s.connected ? s.stretch : 0.0,
-                               s.connected && s.stretch >= 1.25 ? 1.0 : 0.0};
+std::vector<double> percolation_stretch_replica(const ScenarioPoint& point,
+                                                std::size_t /*replica*/,
+                                                std::uint64_t replica_seed) {
+  Rng rng = Rng::stream(replica_seed, 0);
+  const int L = point.params.n;
+  const SiteField field(L, point.params.p, rng);
+  const StretchSample s =
+      chemical_stretch(field, L / 8, L / 2, 7 * L / 8, L / 2);
+  // Unconnected pairs contribute zeros; conditional means are recovered
+  // downstream as sum(stretch) / sum(connected).
+  return {s.connected ? 1.0 : 0.0, s.connected ? s.stretch : 0.0,
+          s.connected && s.stretch >= 1.25 ? 1.0 : 0.0};
+}
+
+std::vector<double> percolation_radius_replica(const ScenarioPoint& point,
+                                               std::size_t /*replica*/,
+                                               std::uint64_t replica_seed) {
+  Rng rng = Rng::stream(replica_seed, 0);
+  const int L = point.params.n;
+  const SiteField field(L, point.params.p, rng);
+  const int r = cluster_l1_radius(field, L / 2, L / 2);
+  std::vector<double> values{r >= 0 ? 1.0 : 0.0};
+  for (const int k : {2, 4, 8, 16}) values.push_back(r >= k ? 1.0 : 0.0);
+  return values;
+}
+
+struct Builtin {
+  ScenarioSpec spec;
+  // Custom replica fn emitting spec.metrics as columns; nullptr runs the
+  // Schelling replica over the registry metrics.
+  std::vector<double> (*replica)(const ScenarioPoint&, std::size_t,
+                                 std::uint64_t) = nullptr;
+  // Adjusts the expanded points (nullptr: the plain grid).
+  void (*adjust_points)(std::vector<ScenarioPoint>&) = nullptr;
+};
+
+const std::vector<Builtin>& builtins() {
+  static const std::vector<Builtin> table = {
+      {ScenarioSpec{
+          .name = "phase_diagram",
+          .tau = {0.30, 0.36, 0.40, 0.44, 0.48, 0.50},
+          .p = {0.50, 0.55, 0.60, 0.70, 0.80, 0.90},
+          .region_samples = 16,
+          .metrics = {"mean_mono_region", "fixation", "majority", "flips"}}},
+      // The cluster/interface companions to the region metrics come from
+      // the streaming engine — tracked over the whole trajectory in O(1)
+      // per flip, never by an end-state rescan.
+      {ScenarioSpec{.name = "region_size",
+                    .w = {1, 2, 3, 4, 5},
+                    .tau = {0.45, 0.40, 0.55},
+                    .region_samples = 24,
+                    .almost_eps = 0.1,
+                    .metrics = {"mean_mono_region", "mean_almost_region",
+                                "streaming_largest_cluster",
+                                "streaming_interface_length"}},
+       nullptr, tie_side_to_horizon},
+      {ScenarioSpec{.name = "percolation_stretch",
+                    .n = {192},  // box side L
+                    .p = {0.65, 0.70, 0.75, 0.85, 0.95},
+                    .replicas = 24,
+                    .metrics = {"connected", "stretch", "tail_125"}},
+       percolation_stretch_replica},
+      {ScenarioSpec{.name = "percolation_radius",
+                    .n = {61},  // box side L
+                    .p = {0.30, 0.40, 0.50},
+                    .replicas = 400,
+                    .metrics = {"open", "r_ge_2", "r_ge_4", "r_ge_8",
+                                "r_ge_16"}},
+       percolation_radius_replica},
+      // n/w/shape parameterize the small_world base torus; the lollipop
+      // family reads only graph_clique/graph_path. Graph mode has no
+      // termination certificate on every family (small worlds can cycle
+      // through near-regular degree classes for a long time), so the
+      // replicas are flip-capped.
+      {ScenarioSpec{.name = "graph_topologies",
+                    .n = {32},
+                    .w = {1},
+                    .tau = {0.35, 0.45},
+                    .topology = {TopologyFamily::kLollipop,
+                                 TopologyFamily::kRandomRegular,
+                                 TopologyFamily::kSmallWorld},
+                    .graph_nodes = 1024,
+                    .max_flips = 200000,
+                    .metrics = {"flips", "terminated", "majority",
+                                "happy_fraction", "plus_fraction"}}},
   };
-  return out;
+  return table;
 }
 
-BuiltinCampaign percolation_radius_campaign(
-    const BuiltinOverrides& overrides) {
-  BuiltinCampaign out;
-  out.spec.name = "percolation_radius";
-  out.spec.n = {overrides.n > 0 ? overrides.n : 61};  // box side L
-  out.spec.p = {0.30, 0.40, 0.50};
-  out.spec.replicas = overrides.replicas > 0 ? overrides.replicas : 400;
-  out.spec.metrics = {"open", "r_ge_2", "r_ge_4", "r_ge_8", "r_ge_16"};
-  out.points = expand_grid(out.spec);
-  out.metric_names = out.spec.metrics;
-  out.replica = [](const ScenarioPoint& point, std::size_t /*replica*/,
-                   std::uint64_t replica_seed) {
-    Rng rng = Rng::stream(replica_seed, 0);
-    const int L = point.params.n;
-    const SiteField field(L, point.params.p, rng);
-    const int r = cluster_l1_radius(field, L / 2, L / 2);
-    std::vector<double> values{r >= 0 ? 1.0 : 0.0};
-    for (const int k : {2, 4, 8, 16}) {
-      values.push_back(r >= k ? 1.0 : 0.0);
-    }
-    return values;
-  };
-  return out;
-}
-
-BuiltinCampaign graph_topologies_campaign(const BuiltinOverrides& overrides) {
-  BuiltinCampaign out;
-  out.spec.name = "graph_topologies";
-  // n/w/shape parameterize the small_world base torus and the
-  // random_regular node-count default; the lollipop family reads only
-  // graph_clique/graph_path.
-  out.spec.n = {overrides.n > 0 ? overrides.n : 32};
-  out.spec.w = {overrides.w > 0 ? overrides.w : 1};
-  out.spec.tau = {0.35, 0.45};
-  out.spec.topology = {TopologyFamily::kLollipop,
-                       TopologyFamily::kRandomRegular,
-                       TopologyFamily::kSmallWorld};
-  if (!overrides.topology.empty()) out.spec.topology = overrides.topology;
-  out.spec.graph_nodes =
-      overrides.graph_nodes > 0 ? overrides.graph_nodes : 1024;
-  if (overrides.graph_degree > 0) out.spec.graph_degree = overrides.graph_degree;
-  if (overrides.graph_clique > 0) out.spec.graph_clique = overrides.graph_clique;
-  if (overrides.graph_path > 0) out.spec.graph_path = overrides.graph_path;
-  if (overrides.graph_beta >= 0.0) out.spec.graph_beta = overrides.graph_beta;
-  if (overrides.graph_seed > 0) out.spec.graph_seed = overrides.graph_seed;
-  out.spec.replicas = overrides.replicas > 0 ? overrides.replicas : 3;
-  if (overrides.shards > 0) out.spec.shards = overrides.shards;
-  // Graph mode has no termination certificate on every family (small
-  // worlds can cycle through near-regular degree classes for a long
-  // time), so cap the replicas.
-  out.spec.max_flips = 200000;
-  out.spec.metrics = {"flips", "terminated", "majority", "happy_fraction",
-                      "plus_fraction"};
-  out.points = expand_grid(out.spec);
-  out.metric_names = out.spec.metrics;
-  out.replica = make_schelling_replica(out.spec);
-  return out;
+const Builtin* find_builtin(const std::string& name) {
+  for (const Builtin& b : builtins()) {
+    if (name == b.spec.name) return &b;
+  }
+  return nullptr;
 }
 
 }  // namespace
 
 std::vector<std::string> builtin_campaign_names() {
-  return {"phase_diagram", "region_size", "percolation_stretch",
-          "percolation_radius", "graph_topologies"};
+  std::vector<std::string> names;
+  for (const Builtin& b : builtins()) names.push_back(b.spec.name);
+  return names;
+}
+
+bool builtin_spec(const std::string& name, const BuiltinOverrides& overrides,
+                  ScenarioSpec* out) {
+  const Builtin* builtin = find_builtin(name);
+  if (!builtin) return false;
+  *out = builtin->spec;
+  if (overrides.n > 0) out->n = {overrides.n};
+  if (overrides.w > 0) out->w = {overrides.w};
+  if (overrides.replicas > 0) out->replicas = overrides.replicas;
+  if (overrides.stop.rule != StopRule::kNone) out->stop = overrides.stop;
+  return true;
+}
+
+bool build_campaign(const std::string& builtin, const ScenarioSpec& spec,
+                    BuiltinCampaign* out, std::string* error) {
+  const Builtin* b = builtin.empty() ? nullptr : find_builtin(builtin);
+  if (!builtin.empty() && !b) {
+    if (error) *error = "unknown scenario '" + builtin + "'";
+    return false;
+  }
+  const bool custom = b && b->replica;
+  if (custom ? !spec.valid_for_columns(spec.metrics, error)
+             : !spec.valid(error)) {
+    return false;
+  }
+  out->spec = spec;
+  out->points = expand_grid(spec);
+  if (b && b->adjust_points) b->adjust_points(out->points);
+  out->metric_names = custom ? spec.metrics : expand_metric_names(spec.metrics);
+  out->replica = custom ? ReplicaFn(b->replica) : make_schelling_replica(spec);
+  return true;
 }
 
 bool make_builtin_campaign(const std::string& name,
                            const BuiltinOverrides& overrides,
                            BuiltinCampaign* out) {
-  if (name == "phase_diagram") {
-    *out = phase_diagram_campaign(overrides);
-  } else if (name == "region_size") {
-    *out = region_size_campaign(overrides);
-  } else if (name == "percolation_stretch") {
-    *out = percolation_stretch_campaign(overrides);
-  } else if (name == "percolation_radius") {
-    *out = percolation_radius_campaign(overrides);
-  } else if (name == "graph_topologies") {
-    *out = graph_topologies_campaign(overrides);
-  } else {
-    return false;
-  }
-  // Stopping rules ride on top of any built-in: they only change how many
-  // replicas the engine schedules per point, never what a replica computes
-  // (the spec copy captured by the replica fn predates this assignment,
-  // which is fine — the stop config is engine-only).
-  if (overrides.stop.rule != StopRule::kNone) out->spec.stop = overrides.stop;
-  return true;
+  ScenarioSpec spec;
+  return builtin_spec(name, overrides, &spec) &&
+         build_campaign(name, spec, out);
 }
 
 }  // namespace seg

@@ -36,34 +36,33 @@ struct BuiltinCampaign {
   ReplicaFn replica;
 };
 
-// Optional overrides for the campaign's defaults; 0 keeps the default.
+// Optional overrides of a builtin's spec for programmatic callers (the
+// bench drivers, perfbench); 0 keeps the default. The campaign_runner CLI
+// overrides any spec key instead, through ScenarioSpec::set.
 struct BuiltinOverrides {
-  int n = 0;            // grid side (phase_diagram) / box side L (percolation)
-  int w = 0;            // horizon (phase_diagram)
+  int n = 0;            // grid side (n = {n}); box side L for percolation
+  int w = 0;            // horizon (w = {w})
   std::size_t replicas = 0;
-  // Lattice shards per Glauber replica (sharded sweep engine); affects
-  // the Schelling-dynamics campaigns only.
-  std::size_t shards = 0;
   // Sequential stopping config (campaign/stopping.h); rule kNone keeps
-  // the campaign fixed-replica. Applied after the builder, so it steers
-  // the engine's replica scheduling without touching the replica fn.
+  // the campaign fixed-replica.
   StopConfig stop;
-  // Topology overrides for the graph_topologies campaign (the torus
-  // campaigns ignore them). Empty topology keeps the builtin's family
-  // list; the scalars follow the 0-keeps-default convention except
-  // graph_beta, where any negative value keeps the default.
-  std::vector<TopologyFamily> topology;
-  std::size_t graph_nodes = 0;
-  int graph_degree = 0;
-  int graph_clique = 0;
-  int graph_path = 0;
-  double graph_beta = -1.0;
-  std::uint64_t graph_seed = 0;
 };
 
 std::vector<std::string> builtin_campaign_names();
 
-// False if `name` is not a built-in campaign.
+// The named builtin's spec with `overrides` applied; false if `name` is
+// not a builtin.
+bool builtin_spec(const std::string& name, const BuiltinOverrides& overrides,
+                  ScenarioSpec* out);
+
+// Expands `spec` into a runnable campaign the way the named builtin does
+// (its point adjustments and replica fn); an empty `builtin` runs the
+// spec as written with the Schelling replica. False, with the reason in
+// *error, if `builtin` is unknown or the spec is invalid for it.
+bool build_campaign(const std::string& builtin, const ScenarioSpec& spec,
+                    BuiltinCampaign* out, std::string* error = nullptr);
+
+// builtin_spec() then build_campaign().
 bool make_builtin_campaign(const std::string& name,
                            const BuiltinOverrides& overrides,
                            BuiltinCampaign* out);

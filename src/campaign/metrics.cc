@@ -20,102 +20,17 @@ namespace {
 
 double nan_metric() { return std::numeric_limits<double>::quiet_NaN(); }
 
-double metric_flips(MetricContext& ctx) {
-  return static_cast<double>(ctx.run.flips);
+template <class T>
+double count(T v) {
+  return static_cast<double>(v);
 }
 
-double metric_time(MetricContext& ctx) { return ctx.run.final_time; }
-
-double metric_terminated(MetricContext& ctx) {
-  return ctx.run.terminated ? 1.0 : 0.0;
-}
-
-double metric_fixation(MetricContext& ctx) {
-  return completely_segregated(ctx.spins()) ? 1.0 : 0.0;
-}
-
-double metric_majority(MetricContext& ctx) {
-  return majority_fraction(ctx.spins());
-}
-
-double metric_happy_fraction(MetricContext& ctx) {
-  return ctx.model.happy_fraction();
-}
-
-double metric_unhappy_count(MetricContext& ctx) {
-  return static_cast<double>(ctx.model.count_unhappy());
-}
-
-double metric_plus_fraction(MetricContext& ctx) {
-  return ctx.model.plus_fraction();
-}
-
-double metric_mean_mono_region(MetricContext& ctx) {
-  return mean_mono_region_size(ctx.mono(), ctx.spec.region_samples,
-                               ctx.sample_rng);
-}
-
-double metric_largest_mono_region(MetricContext& ctx) {
-  return static_cast<double>(largest_mono_region(ctx.mono()));
-}
-
-double metric_mean_almost_region(MetricContext& ctx) {
-  return mean_almost_region_size(ctx.almost(), ctx.spec.region_samples,
-                                 ctx.sample_rng);
-}
-
-double metric_largest_almost_region(MetricContext& ctx) {
-  return static_cast<double>(largest_almost_region(ctx.almost()));
-}
-
-double metric_largest_cluster(MetricContext& ctx) {
-  return static_cast<double>(ctx.clusters().largest_cluster);
-}
-
-double metric_cluster_count(MetricContext& ctx) {
-  return static_cast<double>(ctx.clusters().cluster_count);
-}
-
-double metric_mean_cluster_size(MetricContext& ctx) {
-  return ctx.clusters().mean_cluster_size;
-}
-
-double metric_interface_length(MetricContext& ctx) {
-  return static_cast<double>(ctx.clusters().interface_length);
-}
-
-// ---- streaming observables (O(1) reads off the attached engine) ----
-
-double metric_streaming_magnetization(MetricContext& ctx) {
-  return ctx.streaming
-             ? static_cast<double>(ctx.streaming->magnetization())
-             : nan_metric();
-}
-
-double metric_streaming_interface(MetricContext& ctx) {
-  return ctx.streaming
-             ? static_cast<double>(ctx.streaming->interface_length())
-             : nan_metric();
-}
-
-double metric_streaming_cluster_count(MetricContext& ctx) {
-  return ctx.streaming
-             ? static_cast<double>(ctx.streaming->cluster_count())
-             : nan_metric();
-}
-
-double metric_streaming_largest_cluster(MetricContext& ctx) {
-  return ctx.streaming
-             ? static_cast<double>(ctx.streaming->largest_cluster())
-             : nan_metric();
-}
-
-double metric_streaming_mean_cluster_size(MetricContext& ctx) {
-  return ctx.streaming ? ctx.streaming->mean_cluster_size() : nan_metric();
-}
-
-double metric_streaming_autocorr_lag1(MetricContext& ctx) {
-  return ctx.streaming ? ctx.streaming->autocorrelation(1) : nan_metric();
+// The streaming metrics read the engine that tracked the replica's
+// dynamics in O(1); NaN when none was attached.
+template <auto Read>
+double streaming(MetricContext& ctx) {
+  return ctx.streaming ? static_cast<double>((ctx.streaming->*Read)())
+                       : nan_metric();
 }
 
 // The group the "streaming" pseudo-metric expands to, in column order.
@@ -134,32 +49,62 @@ struct MetricEntry {
   bool graph_ok;
 };
 
+using Ctx = MetricContext;
+
 // Registry order is the order known_metrics() reports; metric evaluation
 // order within a replica follows spec.metrics, not this table.
 constexpr MetricEntry kRegistry[] = {
-    {"flips", metric_flips, true},
-    {"time", metric_time, true},
-    {"terminated", metric_terminated, true},
-    {"fixation", metric_fixation, true},
-    {"majority", metric_majority, true},
-    {"happy_fraction", metric_happy_fraction, true},
-    {"unhappy_count", metric_unhappy_count, true},
-    {"plus_fraction", metric_plus_fraction, true},
-    {"mean_mono_region", metric_mean_mono_region, false},
-    {"largest_mono_region", metric_largest_mono_region, false},
-    {"mean_almost_region", metric_mean_almost_region, false},
-    {"largest_almost_region", metric_largest_almost_region, false},
-    {"largest_cluster", metric_largest_cluster, false},
-    {"cluster_count", metric_cluster_count, false},
-    {"mean_cluster_size", metric_mean_cluster_size, false},
-    {"interface_length", metric_interface_length, false},
-    {"streaming_magnetization", metric_streaming_magnetization, false},
-    {"streaming_interface_length", metric_streaming_interface, false},
-    {"streaming_cluster_count", metric_streaming_cluster_count, false},
-    {"streaming_largest_cluster", metric_streaming_largest_cluster, false},
-    {"streaming_mean_cluster_size", metric_streaming_mean_cluster_size,
+    {"flips", [](Ctx& c) { return count(c.run.flips); }, true},
+    {"time", [](Ctx& c) { return c.run.final_time; }, true},
+    {"terminated", [](Ctx& c) { return c.run.terminated ? 1.0 : 0.0; },
+     true},
+    {"fixation",
+     [](Ctx& c) { return completely_segregated(c.spins()) ? 1.0 : 0.0; },
+     true},
+    {"majority", [](Ctx& c) { return majority_fraction(c.spins()); }, true},
+    {"happy_fraction", [](Ctx& c) { return c.model.happy_fraction(); }, true},
+    {"unhappy_count", [](Ctx& c) { return count(c.model.count_unhappy()); },
+     true},
+    {"plus_fraction", [](Ctx& c) { return c.model.plus_fraction(); }, true},
+    {"mean_mono_region",
+     [](Ctx& c) {
+       return mean_mono_region_size(c.mono(), c.spec.region_samples,
+                                    c.sample_rng);
+     },
      false},
-    {"streaming_autocorr_lag1", metric_streaming_autocorr_lag1, false},
+    {"largest_mono_region",
+     [](Ctx& c) { return count(largest_mono_region(c.mono())); }, false},
+    {"mean_almost_region",
+     [](Ctx& c) {
+       return mean_almost_region_size(c.almost(), c.spec.region_samples,
+                                      c.sample_rng);
+     },
+     false},
+    {"largest_almost_region",
+     [](Ctx& c) { return count(largest_almost_region(c.almost())); }, false},
+    {"largest_cluster",
+     [](Ctx& c) { return count(c.clusters().largest_cluster); }, false},
+    {"cluster_count", [](Ctx& c) { return count(c.clusters().cluster_count); },
+     false},
+    {"mean_cluster_size",
+     [](Ctx& c) { return c.clusters().mean_cluster_size; }, false},
+    {"interface_length",
+     [](Ctx& c) { return count(c.clusters().interface_length); }, false},
+    {"streaming_magnetization",
+     streaming<&StreamingObservables::magnetization>, false},
+    {"streaming_interface_length",
+     streaming<&StreamingObservables::interface_length>, false},
+    {"streaming_cluster_count",
+     streaming<&StreamingObservables::cluster_count>, false},
+    {"streaming_largest_cluster",
+     streaming<&StreamingObservables::largest_cluster>, false},
+    {"streaming_mean_cluster_size",
+     streaming<&StreamingObservables::mean_cluster_size>, false},
+    {"streaming_autocorr_lag1",
+     [](Ctx& c) {
+       return c.streaming ? c.streaming->autocorrelation(1) : nan_metric();
+     },
+     false},
 };
 
 // Constructs the topology a non-torus point runs on, from the spec's
@@ -281,6 +226,28 @@ std::vector<std::string> expand_metric_names(
   return out;
 }
 
+namespace {
+
+// A replica's initial model over `graph` (nullptr: the native torus),
+// split into `shards` parts for the sharded sweep engine when > 1.
+SchellingModel make_model(const ModelParams& params,
+                          const std::shared_ptr<const GraphTopology>& graph,
+                          int shards, Rng& init) {
+  if (graph) {
+    return SchellingModel(
+        params, graph,
+        random_spins_count(graph->node_count(), params.p, init),
+        shards > 1 ? GraphPartition::greedy_bfs(*graph, shards)
+                   : GraphPartition());
+  }
+  return shards > 1 ? SchellingModel(params, init,
+                                     ShardLayout::stripes(params.n, params.w,
+                                                          shards))
+                    : SchellingModel(params, init);
+}
+
+}  // namespace
+
 ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
   const std::vector<std::string> expanded =
       expand_metric_names(spec.metrics);
@@ -304,64 +271,18 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
   return [spec, fns, needs_streaming](const ScenarioPoint& point,
                                       std::size_t /*replica*/,
                                       std::uint64_t replica_seed) {
+    // Non-torus points run over the point's GraphTopology with per-node
+    // thresholds; everything after model construction is shared.
+    std::shared_ptr<const GraphTopology> graph;
     if (point.topology != TopologyFamily::kTorus) {
-      // Graph-topology replica: same stream layout as the torus path
-      // (0 = init, 1 = dynamics, 2 = measurement), the model built over
-      // the point's GraphTopology with per-node thresholds. Streaming
-      // metrics are lattice-only and already refused by valid(), so no
-      // observer is attached here.
       std::string why;
-      const std::shared_ptr<const GraphTopology> graph =
-          build_topology(spec, point, &why);
+      graph = build_topology(spec, point, &why);
       if (!graph) {
         std::fprintf(stderr,
                      "campaign: point %zu: cannot build %s topology: %s\n",
                      point.index, topology_name(point.topology), why.c_str());
         return std::vector<double>(fns.size(), nan_metric());
       }
-      const bool sharded =
-          spec.shards > 1 && point.dynamics == DynamicsKind::kGlauber;
-      Rng init = Rng::stream(replica_seed, 0);
-      std::vector<std::int8_t> spins =
-          random_spins_count(graph->node_count(), point.params.p, init);
-      SchellingModel model =
-          sharded ? SchellingModel(point.params, graph, std::move(spins),
-                                   GraphPartition::greedy_bfs(
-                                       *graph, static_cast<int>(spec.shards)))
-                  : SchellingModel(point.params, graph, std::move(spins));
-      RunOptions run_options;
-      if (spec.max_flips > 0) run_options.max_flips = spec.max_flips;
-      RunResult run;
-      if (sharded) {
-        SEG_TRACE_SPAN("replica_dynamics");
-        ParallelOptions parallel_options;
-        parallel_options.threads = 1;  // replica-level pool saturates cores
-        parallel_options.max_flips = run_options.max_flips;
-        run = to_run_result(run_parallel_glauber(
-            model, mix_seed(replica_seed, 1), parallel_options));
-      } else {
-        SEG_TRACE_SPAN("replica_dynamics");
-        Rng dyn = Rng::stream(replica_seed, 1);
-        switch (point.dynamics) {
-          case DynamicsKind::kGlauber:
-            run = run_glauber(model, dyn, run_options);
-            break;
-          case DynamicsKind::kDiscrete:
-            run = run_discrete(model, dyn, run_options);
-            break;
-          case DynamicsKind::kSynchronous:
-            run = run_synchronous(model, spec.sync_max_rounds, run_options);
-            break;
-        }
-      }
-      SEG_HISTOGRAM("campaign.replica_flips", run.flips);
-      SEG_TRACE_SPAN("replica_measure");
-      Rng sample = Rng::stream(replica_seed, 2);
-      MetricContext ctx(model, run, spec, sample, nullptr);
-      std::vector<double> values;
-      values.reserve(fns.size());
-      for (const MetricFn fn : fns) values.push_back(fn(ctx));
-      return values;
     }
     // Stream layout matches the bench convention: 0 = initial
     // configuration, 1 = dynamics, 2 = measurement sampling. The sharded
@@ -371,18 +292,16 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
     const bool sharded =
         spec.shards > 1 && point.dynamics == DynamicsKind::kGlauber;
     Rng init = Rng::stream(replica_seed, 0);
-    SchellingModel model =
-        sharded ? SchellingModel(
-                      point.params, init,
-                      ShardLayout::stripes(point.params.n, point.params.w,
-                                           static_cast<int>(spec.shards)))
-                : SchellingModel(point.params, init);
+    SchellingModel model = make_model(
+        point.params, graph, sharded ? static_cast<int>(spec.shards) : 1,
+        init);
     // The streaming engine (when any streaming_* metric is requested)
     // subscribes to the dynamics' flip events and replaces every
     // measurement rescan; it consumes no RNG, so the trajectory is
-    // bitwise the one an unmeasured run produces.
+    // bitwise the one an unmeasured run produces. Streaming metrics are
+    // lattice-only (valid() refuses them on graphs).
     std::unique_ptr<StreamingObservables> streaming;
-    if (needs_streaming) {
+    if (needs_streaming && !graph) {
       StreamingConfig streaming_config;
       streaming_config.autocorr_window = 64;
       streaming = std::make_unique<StreamingObservables>(

@@ -1,7 +1,13 @@
 #include "campaign/scenario.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <optional>
+#include <span>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "campaign/metrics.h"
 #include "util/parse.h"
@@ -9,37 +15,9 @@
 namespace seg {
 namespace {
 
-std::string format_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string join_ints(const std::vector<int>& xs) {
-  std::string out;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (i) out += ',';
-    out += std::to_string(xs[i]);
-  }
-  return out;
-}
-
-std::string join_doubles(const std::vector<double>& xs) {
-  std::string out;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (i) out += ',';
-    out += format_double(xs[i]);
-  }
-  return out;
-}
-
-std::string join_strings(const std::vector<std::string>& xs) {
-  std::string out;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (i) out += ',';
-    out += xs[i];
-  }
-  return out;
+bool fail(std::string* error, const std::string& msg) {
+  if (error) *error = msg;
+  return false;
 }
 
 std::string trim(const std::string& s) {
@@ -60,81 +38,231 @@ std::vector<std::string> split_list(const std::string& s) {
   return out;
 }
 
-// List parsers over the checked scalar helpers (util/parse.h): trailing
-// garbage ("10x") and out-of-range values are hard errors naming the
-// offending token, not silent truncations.
-bool parse_int_list(const std::string& s, std::vector<int>* out,
-                    std::string* why) {
-  out->clear();
-  for (const std::string& item : split_list(s)) {
-    int v = 0;
-    if (!parse_int_checked(item, &v, why)) return false;
-    out->push_back(v);
-  }
-  return !out->empty();
+// Spec-text names of each enum, indexed by enumerator.
+constexpr const char* kShapeNames[] = {"moore", "von_neumann"};
+constexpr const char* kDynamicsNames[] = {"glauber", "discrete",
+                                          "synchronous"};
+constexpr const char* kTopologyNames[] = {
+    "torus", "lollipop", "random_regular", "small_world", "edge_list"};
+
+std::span<const char* const> enum_names(NeighborhoodShape) {
+  return kShapeNames;
+}
+std::span<const char* const> enum_names(DynamicsKind) {
+  return kDynamicsNames;
+}
+std::span<const char* const> enum_names(TopologyFamily) {
+  return kTopologyNames;
+}
+std::span<const char* const> enum_names(StopRule) { return kStopRuleNames; }
+
+template <class E>
+const char* enum_name(E v) {
+  return enum_names(v)[static_cast<std::size_t>(v)];
 }
 
-bool parse_double_list(const std::string& s, std::vector<double>* out,
-                       std::string* why) {
-  out->clear();
-  for (const std::string& item : split_list(s)) {
-    double v = 0.0;
-    if (!parse_double_checked(item, &v, why)) return false;
-    out->push_back(v);
+// Value codecs of the spec-key table. Scalars go through the checked
+// parsers (util/parse.h): trailing garbage ("10x") and out-of-range
+// values are hard errors naming the offending token. Lists are
+// comma-separated and must be non-empty.
+template <class T>
+bool decode(const std::string& s, T* out, std::string* why) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    *out = s;
+    return !s.empty() || fail(why, "empty value");
+  } else if constexpr (std::is_same_v<T, double>) {
+    return parse_double_checked(s, out, why);
+  } else if constexpr (std::is_same_v<T, int>) {
+    return parse_int_checked(s, out, why);
+  } else if constexpr (std::is_enum_v<T>) {
+    const std::span<const char* const> names = enum_names(T{});
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      if (s == names[i]) {
+        *out = static_cast<T>(i);
+        return true;
+      }
+    }
+    return fail(why, "unknown name '" + s + "'");
+  } else if constexpr (std::is_unsigned_v<T>) {
+    std::uint64_t v = 0;
+    if (!parse_u64_checked(s, &v, why)) return false;
+    *out = static_cast<T>(v);
+    return true;
+  } else {
+    out->clear();
+    for (const std::string& item : split_list(s)) {
+      typename T::value_type v{};
+      if (!decode(item, &v, why)) return false;
+      out->push_back(v);
+    }
+    return !out->empty() || fail(why, "empty list");
   }
-  return !out->empty();
 }
+
+template <class T>
+std::string encode(const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return v;
+  } else if constexpr (std::is_same_v<T, double>) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+  } else if constexpr (std::is_enum_v<T>) {
+    return enum_name(v);
+  } else if constexpr (std::is_integral_v<T>) {
+    return std::to_string(v);
+  } else {
+    std::string out;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i) out += ',';
+      out += encode(v[i]);
+    }
+    return out;
+  }
+}
+
+// When a key enters the canonical text (and so the checkpoint hash).
+// Keys added after the format's first release are written only when they
+// matter, so every older spec keeps its hash and its checkpoints stay
+// resumable.
+enum class Show {
+  kAlways,
+  kNonDefault,          // differs from a default-constructed spec
+  kStopRule,            // a stopping rule is set
+  kStopRuleNonDefault,  // both of the above
+  kPassRate,            // the stopping rule is pass_rate
+};
+
+bool shown(Show show, const ScenarioSpec& spec, bool is_default) {
+  const bool rule = spec.stop.rule != StopRule::kNone;
+  switch (show) {
+    case Show::kAlways: return true;
+    case Show::kNonDefault: return !is_default;
+    case Show::kStopRule: return rule;
+    case Show::kStopRuleNonDefault: return rule && !is_default;
+    case Show::kPassRate: return spec.stop.rule == StopRule::kPassRate;
+  }
+  return true;
+}
+
+struct SpecKey {
+  const char* name;
+  const char* help;
+  // Decodes `value` into the spec; false with a reason on bad input.
+  std::function<bool(ScenarioSpec&, const std::string&, std::string*)> set;
+  // The canonical value text; nullopt keeps the key out of the text.
+  std::function<std::optional<std::string>(const ScenarioSpec&)> emit;
+};
+
+// A table entry over one spec field; `field` maps a (const or mutable)
+// spec to the field. `positive` rejects 0 for counts that need >= 1.
+template <class Field>
+SpecKey key(const char* name, Field field, const char* help,
+            Show show = Show::kAlways, bool positive = false) {
+  using T = std::remove_cvref_t<decltype(field(std::declval<ScenarioSpec&>()))>;
+  return SpecKey{
+      name, help,
+      [field, positive](ScenarioSpec& spec, const std::string& value,
+                        std::string* why) {
+        T parsed{};
+        if (!decode(value, &parsed, why)) return false;
+        if constexpr (std::is_arithmetic_v<T>) {
+          if (positive && parsed == 0) return fail(why, "must be >= 1");
+        }
+        field(spec) = std::move(parsed);
+        return true;
+      },
+      [field, show](const ScenarioSpec& spec) -> std::optional<std::string> {
+        static const ScenarioSpec defaults;
+        if (!shown(show, spec, field(spec) == field(defaults))) {
+          return std::nullopt;
+        }
+        return encode(field(spec));
+      }};
+}
+
+#define FIELD(member) [](auto& s) -> auto& { return s.member; }
+// An entry whose key is spelled like its ScenarioSpec member.
+#define SPEC_KEY(member, ...) key(#member, FIELD(member), __VA_ARGS__)
+
+// The spec keys, in canonical-text order: the one place a key is spelled
+// out besides its ScenarioSpec field. parse(), to_text(), set() and the
+// campaign_runner flags and --help all derive from it.
+const std::vector<SpecKey>& key_table() {
+  using enum Show;
+  static const std::vector<SpecKey> table = {
+      SPEC_KEY(name, "campaign name; default stem of the CSV and manifest"),
+      SPEC_KEY(n, "grid side(s); box side L for percolation"),
+      SPEC_KEY(w, "neighborhood horizon(s); the window is (2w+1)^2"),
+      SPEC_KEY(tau, "intolerance(s): happy with >= tau of the window alike"),
+      SPEC_KEY(tau_minus, "intolerance(s) of the minus type; < 0 = tau"),
+      SPEC_KEY(p, "initial density (or densities) of the plus type"),
+      SPEC_KEY(shape, "neighborhood shape(s): moore | von_neumann"),
+      SPEC_KEY(dynamics, "dynamics: glauber | discrete | synchronous"),
+      SPEC_KEY(topology,
+               "torus | lollipop | random_regular | small_world | edge_list",
+               kNonDefault),
+      SPEC_KEY(graph_clique, "lollipop clique size (>= 2)", kNonDefault),
+      SPEC_KEY(graph_path, "lollipop path length (>= 1)", kNonDefault),
+      SPEC_KEY(graph_degree, "random_regular node degree", kNonDefault),
+      SPEC_KEY(graph_beta, "small_world rewiring probability", kNonDefault),
+      SPEC_KEY(graph_seed, "graph builder seed", kNonDefault),
+      SPEC_KEY(graph_nodes, "random_regular node count; 0 = n*n", kNonDefault),
+      SPEC_KEY(graph_file, "edge_list file of \"u v\" lines", kNonDefault),
+      SPEC_KEY(replicas, "replicas per point (the cap under a stop rule)",
+               kAlways, true),
+      SPEC_KEY(shards, "lattice shards per Glauber replica; 1 = serial",
+               kNonDefault, true),
+      SPEC_KEY(max_flips, "flip cap per replica; 0 = run to absorption"),
+      SPEC_KEY(streaming_sample_every,
+               "flips between streaming autocorrelation samples; 0 = n^2/64",
+               kNonDefault),
+      SPEC_KEY(sync_max_rounds, "round cap of synchronous dynamics"),
+      SPEC_KEY(region_samples, "sampled agents per E[M] estimate"),
+      SPEC_KEY(almost_eps, "epsilon of almost-monochromatic regions"),
+      SPEC_KEY(metrics, "metric columns (see --list); streaming = its group"),
+      key("stop_rule", FIELD(stop.rule),
+          "sequential stopping: none | hoeffding | bernstein | pass_rate",
+          kStopRule),
+      key("stop_delta", FIELD(stop.delta),
+          "target confidence-sequence half-width", kStopRule),
+      key("stop_alpha", FIELD(stop.alpha), "anytime miscoverage budget",
+          kStopRule),
+      key("min_replicas", FIELD(stop.min_replicas),
+          "replica floor before a stop rule may fire", kStopRule, true),
+      key("max_replicas", FIELD(stop.max_replicas),
+          "per-point replica cap; 0 = replicas", kStopRuleNonDefault),
+      key("stop_metric", FIELD(stop.metric),
+          "watched metric; default the first metric", kStopRuleNonDefault),
+      SpecKey{"stop_range", "known range lo,hi of the watched metric",
+              [](ScenarioSpec& spec, const std::string& value,
+                 std::string* why) {
+                std::vector<double> range;
+                if (!decode(value, &range, why)) return false;
+                if (range.size() != 2) return fail(why, "expected lo,hi");
+                spec.stop.range_lo = range[0];
+                spec.stop.range_hi = range[1];
+                return true;
+              },
+              [](const ScenarioSpec& spec) -> std::optional<std::string> {
+                if (!shown(kStopRule, spec, false)) return std::nullopt;
+                return encode(std::vector<double>{spec.stop.range_lo,
+                                                  spec.stop.range_hi});
+              }},
+      key("stop_threshold", FIELD(stop.threshold),
+          "pass_rate decision threshold", kPassRate),
+  };
+  return table;
+}
+
+#undef SPEC_KEY
+#undef FIELD
 
 }  // namespace
 
-const char* dynamics_name(DynamicsKind kind) {
-  switch (kind) {
-    case DynamicsKind::kGlauber: return "glauber";
-    case DynamicsKind::kDiscrete: return "discrete";
-    case DynamicsKind::kSynchronous: return "synchronous";
-  }
-  return "glauber";
-}
-
-bool parse_dynamics(const std::string& name, DynamicsKind* out) {
-  if (name == "glauber") *out = DynamicsKind::kGlauber;
-  else if (name == "discrete") *out = DynamicsKind::kDiscrete;
-  else if (name == "synchronous") *out = DynamicsKind::kSynchronous;
-  else return false;
-  return true;
-}
-
-const char* topology_name(TopologyFamily family) {
-  switch (family) {
-    case TopologyFamily::kTorus: return "torus";
-    case TopologyFamily::kLollipop: return "lollipop";
-    case TopologyFamily::kRandomRegular: return "random_regular";
-    case TopologyFamily::kSmallWorld: return "small_world";
-    case TopologyFamily::kEdgeList: return "edge_list";
-  }
-  return "torus";
-}
-
-bool parse_topology(const std::string& name, TopologyFamily* out) {
-  if (name == "torus") *out = TopologyFamily::kTorus;
-  else if (name == "lollipop") *out = TopologyFamily::kLollipop;
-  else if (name == "random_regular") *out = TopologyFamily::kRandomRegular;
-  else if (name == "small_world") *out = TopologyFamily::kSmallWorld;
-  else if (name == "edge_list") *out = TopologyFamily::kEdgeList;
-  else return false;
-  return true;
-}
-
-const char* shape_name(NeighborhoodShape shape) {
-  return shape == NeighborhoodShape::kMoore ? "moore" : "von_neumann";
-}
-
-bool parse_shape(const std::string& name, NeighborhoodShape* out) {
-  if (name == "moore") *out = NeighborhoodShape::kMoore;
-  else if (name == "von_neumann") *out = NeighborhoodShape::kVonNeumann;
-  else return false;
-  return true;
-}
+const char* dynamics_name(DynamicsKind kind) { return enum_name(kind); }
+const char* topology_name(TopologyFamily family) { return enum_name(family); }
+const char* shape_name(NeighborhoodShape shape) { return enum_name(shape); }
 
 std::size_t ScenarioSpec::grid_size() const {
   return topology.size() * n.size() * w.size() * tau.size() *
@@ -142,28 +270,30 @@ std::size_t ScenarioSpec::grid_size() const {
 }
 
 bool ScenarioSpec::valid(std::string* error) const {
-  auto fail = [&](const std::string& msg) {
-    if (error) *error = msg;
-    return false;
-  };
-  if (n.empty() || w.empty() || tau.empty() || tau_minus.empty() ||
-      p.empty() || shape.empty() || dynamics.empty() || topology.empty()) {
-    return fail("every grid axis needs at least one value");
-  }
-  if (replicas == 0) return fail("replicas must be >= 1");
-  if (shards == 0) return fail("shards must be >= 1");
-  if (metrics.empty()) return fail("at least one metric is required");
-  bool any_graph = false;
-  for (const TopologyFamily f : topology) {
-    any_graph |= f != TopologyFamily::kTorus;
-  }
-  for (const std::string& m : expand_metric_names(metrics)) {
-    if (!lookup_metric(m, nullptr)) return fail("unknown metric: " + m);
+  const std::vector<std::string> columns = expand_metric_names(metrics);
+  const bool any_graph = !std::all_of(
+      topology.begin(), topology.end(),
+      [](TopologyFamily f) { return f == TopologyFamily::kTorus; });
+  for (const std::string& m : columns) {
+    if (!lookup_metric(m, nullptr)) return fail(error, "unknown metric: " + m);
     if (any_graph && !metric_supports_graph(m)) {
-      return fail("metric '" + m +
-                  "' is lattice-only and cannot run on a graph topology");
+      return fail(error, "metric '" + m +
+                             "' is lattice-only and cannot run on a graph "
+                             "topology");
     }
   }
+  return valid_for_columns(columns, error);
+}
+
+bool ScenarioSpec::valid_for_columns(const std::vector<std::string>& columns,
+                                     std::string* error) const {
+  if (n.empty() || w.empty() || tau.empty() || tau_minus.empty() ||
+      p.empty() || shape.empty() || dynamics.empty() || topology.empty()) {
+    return fail(error, "every grid axis needs at least one value");
+  }
+  if (replicas == 0) return fail(error, "replicas must be >= 1");
+  if (shards == 0) return fail(error, "shards must be >= 1");
+  if (columns.empty()) return fail(error, "at least one metric is required");
   // Builder preconditions are validated here, not in the builders: their
   // SEG_ASSERTs compile out of release builds, so the spec layer is the
   // real guard for user-supplied parameters.
@@ -173,58 +303,40 @@ bool ScenarioSpec::valid(std::string* error) const {
         break;
       case TopologyFamily::kLollipop:
         if (graph_clique < 2 || graph_path < 1) {
-          return fail("lollipop needs graph_clique >= 2, graph_path >= 1");
+          return fail(error,
+                      "lollipop needs graph_clique >= 2, graph_path >= 1");
         }
         break;
       case TopologyFamily::kRandomRegular:
-        if (graph_degree < 1) return fail("graph_degree must be >= 1");
+        if (graph_degree < 1) return fail(error, "graph_degree must be >= 1");
         for (const int side : n) {
           const std::size_t nodes =
               graph_nodes > 0 ? graph_nodes
                               : static_cast<std::size_t>(side) * side;
           if (nodes <= static_cast<std::size_t>(graph_degree)) {
-            return fail("random_regular needs node count > graph_degree");
+            return fail(error,
+                        "random_regular needs node count > graph_degree");
           }
           if ((nodes * static_cast<std::size_t>(graph_degree)) % 2 != 0) {
-            return fail("random_regular needs nodes * graph_degree even");
+            return fail(error,
+                        "random_regular needs nodes * graph_degree even");
           }
         }
         break;
       case TopologyFamily::kSmallWorld:
         if (!(graph_beta >= 0.0 && graph_beta <= 1.0)) {
-          return fail("graph_beta must be in [0, 1]");
+          return fail(error, "graph_beta must be in [0, 1]");
         }
         break;
       case TopologyFamily::kEdgeList:
         if (graph_file.empty()) {
-          return fail("edge_list topology needs graph_file");
+          return fail(error, "edge_list topology needs graph_file");
         }
         break;
     }
   }
-  if (stop.rule != StopRule::kNone) {
-    if (!(stop.delta > 0.0)) return fail("stop_delta must be > 0");
-    if (!(stop.alpha > 0.0 && stop.alpha < 1.0)) {
-      return fail("stop_alpha must be in (0, 1)");
-    }
-    if (stop.min_replicas == 0) return fail("min_replicas must be >= 1");
-    if (layout_replicas() < stop.min_replicas) {
-      return fail("max_replicas (or replicas) must be >= min_replicas");
-    }
-    if (!(stop.range_hi > stop.range_lo)) {
-      return fail("stop_range must have hi > lo");
-    }
-    if (!stop.metric.empty()) {
-      const std::vector<std::string> expanded = expand_metric_names(metrics);
-      bool found = false;
-      for (const std::string& m : expanded) {
-        if (m == stop.metric) { found = true; break; }
-      }
-      if (!found) {
-        return fail("stop_metric '" + stop.metric +
-                    "' is not among the campaign metrics");
-      }
-    }
+  if (!valid_stop_config(stop, layout_replicas(), columns, error)) {
+    return false;
   }
   for (const ScenarioPoint& pt : expand_grid(*this)) {
     if (!pt.params.valid()) {
@@ -232,85 +344,43 @@ bool ScenarioSpec::valid(std::string* error) const {
       std::snprintf(buf, sizeof(buf),
                     "invalid point (n=%d, w=%d, tau=%g, p=%g)", pt.params.n,
                     pt.params.w, pt.params.tau, pt.params.p);
-      return fail(buf);
+      return fail(error, buf);
     }
   }
   return true;
 }
 
-std::string ScenarioSpec::to_text() const {
-  std::ostringstream out;
-  out << "name = " << name << '\n';
-  out << "n = " << join_ints(n) << '\n';
-  out << "w = " << join_ints(w) << '\n';
-  out << "tau = " << join_doubles(tau) << '\n';
-  out << "tau_minus = " << join_doubles(tau_minus) << '\n';
-  out << "p = " << join_doubles(p) << '\n';
+bool ScenarioSpec::set(const std::string& key, const std::string& value,
+                       std::string* error) {
   std::vector<std::string> names;
-  for (const NeighborhoodShape s : shape) names.push_back(shape_name(s));
-  out << "shape = " << join_strings(names) << '\n';
-  names.clear();
-  for (const DynamicsKind d : dynamics) names.push_back(dynamics_name(d));
-  out << "dynamics = " << join_strings(names) << '\n';
-  // The topology axis and the graph_* parameters follow the shards
-  // pattern below: only non-default values enter the canonical text, so
-  // every pre-graph spec keeps its hash and its checkpoints.
-  if (!(topology.size() == 1 && topology[0] == TopologyFamily::kTorus)) {
-    names.clear();
-    for (const TopologyFamily f : topology) names.push_back(topology_name(f));
-    out << "topology = " << join_strings(names) << '\n';
-  }
-  if (graph_clique != 24) out << "graph_clique = " << graph_clique << '\n';
-  if (graph_path != 40) out << "graph_path = " << graph_path << '\n';
-  if (graph_degree != 8) out << "graph_degree = " << graph_degree << '\n';
-  if (graph_beta != 0.1) {
-    out << "graph_beta = " << format_double(graph_beta) << '\n';
-  }
-  if (graph_seed != 1) out << "graph_seed = " << graph_seed << '\n';
-  if (graph_nodes != 0) out << "graph_nodes = " << graph_nodes << '\n';
-  if (!graph_file.empty()) out << "graph_file = " << graph_file << '\n';
-  out << "replicas = " << replicas << '\n';
-  // Only non-default shard counts enter the canonical text (and thus the
-  // checkpoint identity hash): serial specs keep their pre-sharding hash,
-  // so their existing checkpoints stay resumable.
-  if (shards != 1) out << "shards = " << shards << '\n';
-  out << "max_flips = " << max_flips << '\n';
-  // Like shards: only a non-default cadence enters the canonical text,
-  // so pre-streaming specs keep their checkpoint identity.
-  if (streaming_sample_every != 0) {
-    out << "streaming_sample_every = " << streaming_sample_every << '\n';
-  }
-  out << "sync_max_rounds = " << sync_max_rounds << '\n';
-  out << "region_samples = " << region_samples << '\n';
-  out << "almost_eps = " << format_double(almost_eps) << '\n';
-  out << "metrics = " << join_strings(metrics) << '\n';
-  // The stop_* keys follow the shards pattern: they enter the canonical
-  // text — and so the checkpoint identity — only when a rule is active,
-  // keeping every pre-adaptive spec's hash (and checkpoints) intact.
-  if (stop.rule != StopRule::kNone) {
-    out << "stop_rule = " << stop_rule_name(stop.rule) << '\n';
-    out << "stop_delta = " << format_double(stop.delta) << '\n';
-    out << "stop_alpha = " << format_double(stop.alpha) << '\n';
-    out << "min_replicas = " << stop.min_replicas << '\n';
-    if (stop.max_replicas != 0) {
-      out << "max_replicas = " << stop.max_replicas << '\n';
+  for (const SpecKey& k : key_table()) {
+    if (key != k.name) {
+      names.push_back(k.name);
+      continue;
     }
-    if (!stop.metric.empty()) out << "stop_metric = " << stop.metric << '\n';
-    out << "stop_range = " << format_double(stop.range_lo) << ','
-        << format_double(stop.range_hi) << '\n';
-    if (stop.rule == StopRule::kPassRate) {
-      out << "stop_threshold = " << format_double(stop.threshold) << '\n';
+    // The setters decode fully before they assign, so a rejected value
+    // leaves the spec unchanged.
+    std::string why;
+    if (k.set(*this, value, &why)) return true;
+    return fail(error, "bad value for '" + key + "'" +
+                           (why.empty() ? "" : " (" + why + ")"));
+  }
+  return fail(error, "unknown key '" + key + "' (did you mean '" +
+                         nearest_name(key, names) + "'?)");
+}
+
+std::string ScenarioSpec::to_text() const {
+  std::string out;
+  for (const SpecKey& k : key_table()) {
+    if (const std::optional<std::string> value = k.emit(*this)) {
+      out += std::string(k.name) + " = " + *value + '\n';
     }
   }
-  return out.str();
+  return out;
 }
 
 bool ScenarioSpec::parse(const std::string& text, ScenarioSpec* out,
                          std::string* error) {
-  auto fail = [&](const std::string& msg) {
-    if (error) *error = msg;
-    return false;
-  };
   ScenarioSpec spec;
   std::istringstream in(text);
   std::string line;
@@ -320,143 +390,23 @@ bool ScenarioSpec::parse(const std::string& text, ScenarioSpec* out,
     line = trim(line);
     if (line.empty() || line[0] == '#') continue;
     const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      return fail("line " + std::to_string(line_no) + ": expected key = value");
-    }
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    bool ok = true;
-    std::string why;
-    if (key == "name") {
-      spec.name = value;
-      ok = !value.empty();
-    } else if (key == "n") {
-      ok = parse_int_list(value, &spec.n, &why);
-    } else if (key == "w") {
-      ok = parse_int_list(value, &spec.w, &why);
-    } else if (key == "tau") {
-      ok = parse_double_list(value, &spec.tau, &why);
-    } else if (key == "tau_minus") {
-      ok = parse_double_list(value, &spec.tau_minus, &why);
-    } else if (key == "p") {
-      ok = parse_double_list(value, &spec.p, &why);
-    } else if (key == "shape") {
-      spec.shape.clear();
-      for (const std::string& item : split_list(value)) {
-        NeighborhoodShape s;
-        if (!parse_shape(item, &s)) { ok = false; break; }
-        spec.shape.push_back(s);
-      }
-      ok = ok && !spec.shape.empty();
-    } else if (key == "dynamics") {
-      spec.dynamics.clear();
-      for (const std::string& item : split_list(value)) {
-        DynamicsKind d;
-        if (!parse_dynamics(item, &d)) { ok = false; break; }
-        spec.dynamics.push_back(d);
-      }
-      ok = ok && !spec.dynamics.empty();
-    } else if (key == "topology") {
-      spec.topology.clear();
-      for (const std::string& item : split_list(value)) {
-        TopologyFamily f;
-        if (!parse_topology(item, &f)) {
-          why = "unknown topology family: '" + item + "'";
-          ok = false;
-          break;
-        }
-        spec.topology.push_back(f);
-      }
-      ok = ok && !spec.topology.empty();
-    } else if (key == "graph_clique") {
-      ok = parse_int_checked(value, &spec.graph_clique, &why);
-    } else if (key == "graph_path") {
-      ok = parse_int_checked(value, &spec.graph_path, &why);
-    } else if (key == "graph_degree") {
-      ok = parse_int_checked(value, &spec.graph_degree, &why);
-    } else if (key == "graph_beta") {
-      ok = parse_double_checked(value, &spec.graph_beta, &why);
-    } else if (key == "graph_seed") {
-      ok = parse_u64_checked(value, &spec.graph_seed, &why);
-    } else if (key == "graph_nodes") {
-      std::uint64_t v = 0;
-      ok = parse_u64_checked(value, &v, &why);
-      spec.graph_nodes = static_cast<std::size_t>(v);
-    } else if (key == "graph_file") {
-      spec.graph_file = value;
-      ok = !value.empty();
-    } else if (key == "replicas") {
-      std::uint64_t v = 0;
-      ok = parse_u64_checked(value, &v, &why) && v > 0;
-      spec.replicas = static_cast<std::size_t>(v);
-    } else if (key == "shards") {
-      std::uint64_t v = 0;
-      ok = parse_u64_checked(value, &v, &why) && v > 0;
-      spec.shards = static_cast<std::size_t>(v);
-    } else if (key == "max_flips") {
-      ok = parse_u64_checked(value, &spec.max_flips, &why);
-    } else if (key == "streaming_sample_every") {
-      ok = parse_u64_checked(value, &spec.streaming_sample_every, &why);
-    } else if (key == "sync_max_rounds") {
-      ok = parse_u64_checked(value, &spec.sync_max_rounds, &why);
-    } else if (key == "region_samples") {
-      std::uint64_t v = 0;
-      ok = parse_u64_checked(value, &v, &why);
-      spec.region_samples = static_cast<std::size_t>(v);
-    } else if (key == "almost_eps") {
-      std::vector<double> v;
-      ok = parse_double_list(value, &v, &why) && v.size() == 1;
-      if (ok) spec.almost_eps = v[0];
-    } else if (key == "metrics") {
-      spec.metrics = split_list(value);
-      ok = !spec.metrics.empty();
-    } else if (key == "stop_rule") {
-      ok = parse_stop_rule(value, &spec.stop.rule);
-    } else if (key == "stop_delta") {
-      std::vector<double> v;
-      ok = parse_double_list(value, &v, &why) && v.size() == 1;
-      if (ok) spec.stop.delta = v[0];
-    } else if (key == "stop_alpha") {
-      std::vector<double> v;
-      ok = parse_double_list(value, &v, &why) && v.size() == 1;
-      if (ok) spec.stop.alpha = v[0];
-    } else if (key == "min_replicas") {
-      std::uint64_t v = 0;
-      ok = parse_u64_checked(value, &v, &why) && v > 0;
-      spec.stop.min_replicas = static_cast<std::size_t>(v);
-    } else if (key == "max_replicas") {
-      std::uint64_t v = 0;
-      ok = parse_u64_checked(value, &v, &why);
-      spec.stop.max_replicas = static_cast<std::size_t>(v);
-    } else if (key == "stop_metric") {
-      spec.stop.metric = value;
-      ok = !value.empty();
-    } else if (key == "stop_range") {
-      std::vector<double> v;
-      ok = parse_double_list(value, &v, &why) && v.size() == 2;
-      if (ok) {
-        spec.stop.range_lo = v[0];
-        spec.stop.range_hi = v[1];
-      }
-    } else if (key == "stop_threshold") {
-      std::vector<double> v;
-      ok = parse_double_list(value, &v, &why) && v.size() == 1;
-      if (ok) spec.stop.threshold = v[0];
-    } else {
-      return fail("line " + std::to_string(line_no) + ": unknown key '" +
-                  key + "'");
-    }
-    if (!ok) {
-      std::string msg = "line " + std::to_string(line_no) +
-                        ": bad value for '" + key + "'";
-      if (!why.empty()) msg += " (" + why + ")";
-      return fail(msg);
+    std::string why = "expected key = value";
+    if (eq == std::string::npos ||
+        !spec.set(trim(line.substr(0, eq)), trim(line.substr(eq + 1)),
+                  &why)) {
+      return fail(error, "line " + std::to_string(line_no) + ": " + why);
     }
   }
   std::string why;
-  if (!spec.valid(&why)) return fail(why);
+  if (!spec.valid(&why)) return fail(error, why);
   *out = spec;
   return true;
+}
+
+std::vector<SpecKeyInfo> spec_keys() {
+  std::vector<SpecKeyInfo> keys;
+  for (const SpecKey& k : key_table()) keys.push_back({k.name, k.help});
+  return keys;
 }
 
 std::uint64_t ScenarioSpec::hash() const {

@@ -26,10 +26,8 @@ namespace seg {
 enum class DynamicsKind { kGlauber, kDiscrete, kSynchronous };
 
 const char* dynamics_name(DynamicsKind kind);
-bool parse_dynamics(const std::string& name, DynamicsKind* out);
 
 const char* shape_name(NeighborhoodShape shape);
-bool parse_shape(const std::string& name, NeighborhoodShape* out);
 
 // Which topology the replicas run on. kTorus is the native span engine
 // (the default, bitwise the legacy trajectories); the rest construct a
@@ -44,7 +42,6 @@ enum class TopologyFamily {
 };
 
 const char* topology_name(TopologyFamily family);
-bool parse_topology(const std::string& name, TopologyFamily* out);
 
 struct ScenarioSpec {
   std::string name = "campaign";
@@ -71,7 +68,7 @@ struct ScenarioSpec {
   double graph_beta = 0.1;         // small_world: rewiring probability
   std::uint64_t graph_seed = 1;    // builder seed (rewiring / matching)
   std::size_t graph_nodes = 0;     // random_regular node count; 0 = n*n
-  std::string graph_file;          // edge_list: path to "u v" lines
+  std::string graph_file{};        // edge_list: path to "u v" lines
 
   // Replicas per scenario point. With a stopping rule this is the
   // default per-point cap (see `stop`); without one it is the exact
@@ -86,7 +83,7 @@ struct ScenarioSpec {
   // replicas, stopping the moment the rule's anytime-valid bound reaches
   // the target half-width; spec keys: stop_rule, stop_delta, stop_alpha,
   // min_replicas, max_replicas, stop_metric, stop_range, stop_threshold.
-  StopConfig stop;
+  StopConfig stop{};
 
   // Lattice shards per replica (stripe decomposition,
   // core/parallel_dynamics.h). 1 = the serial engines, bitwise the
@@ -132,10 +129,26 @@ struct ScenarioSpec {
   }
 
   // Every axis non-empty, every point's ModelParams valid, every metric
-  // known to the registry.
+  // known to the registry (and graph-capable on a graph topology), and a
+  // consistent stopping config.
   bool valid(std::string* error = nullptr) const;
 
-  // Canonical text form; parse(to_text()) reproduces the spec exactly.
+  // valid() without the registry lookup, for campaigns whose replica fn
+  // emits `columns` instead of registry metrics (the percolation
+  // builtins): the stopping config is checked against `columns`.
+  bool valid_for_columns(const std::vector<std::string>& columns,
+                         std::string* error = nullptr) const;
+
+  // Sets one spec key from its text value: the keys and value syntax of
+  // a spec file line. False on an unknown key (naming the nearest one) or
+  // a malformed value, with the reason in *error; the spec is unchanged
+  // then. Cross-key consistency is left to valid().
+  bool set(const std::string& key, const std::string& value,
+           std::string* error = nullptr);
+
+  // Canonical text form, one key per line in spec_keys() order;
+  // parse(to_text()) reproduces the spec exactly. parse() applies set()
+  // line by line ('#' lines are comments), then valid().
   std::string to_text() const;
   static bool parse(const std::string& text, ScenarioSpec* out,
                     std::string* error = nullptr);
@@ -143,6 +156,15 @@ struct ScenarioSpec {
   // FNV-1a over the canonical text; checkpoint identity.
   std::uint64_t hash() const;
 };
+
+// One spec key: its spec-file name and a one-line description.
+struct SpecKeyInfo {
+  std::string name;
+  std::string help;
+};
+
+// Every spec key, in canonical-text order.
+std::vector<SpecKeyInfo> spec_keys();
 
 // One cell of the expanded grid.
 struct ScenarioPoint {

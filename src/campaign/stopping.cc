@@ -1,7 +1,9 @@
 #include "campaign/stopping.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 
 namespace seg {
@@ -19,21 +21,44 @@ std::uint64_t double_bits(double v) {
 }  // namespace
 
 const char* stop_rule_name(StopRule rule) {
-  switch (rule) {
-    case StopRule::kNone: return "none";
-    case StopRule::kHoeffding: return "hoeffding";
-    case StopRule::kBernstein: return "bernstein";
-    case StopRule::kPassRate: return "pass_rate";
-  }
-  return "none";
+  return kStopRuleNames[static_cast<int>(rule)];
 }
 
 bool parse_stop_rule(const std::string& name, StopRule* out) {
-  if (name == "none") *out = StopRule::kNone;
-  else if (name == "hoeffding") *out = StopRule::kHoeffding;
-  else if (name == "bernstein") *out = StopRule::kBernstein;
-  else if (name == "pass_rate") *out = StopRule::kPassRate;
-  else return false;
+  for (std::size_t i = 0; i < std::size(kStopRuleNames); ++i) {
+    if (name == kStopRuleNames[i]) {
+      *out = static_cast<StopRule>(i);
+      return true;
+    }
+  }
+  return false;
+}
+
+bool valid_stop_config(const StopConfig& stop, std::size_t replica_cap,
+                       const std::vector<std::string>& columns,
+                       std::string* error) {
+  auto fail = [&](const std::string& msg) {
+    if (error) *error = msg;
+    return false;
+  };
+  if (stop.rule == StopRule::kNone) return true;
+  if (!(stop.delta > 0.0)) return fail("stop_delta must be > 0");
+  if (!(stop.alpha > 0.0 && stop.alpha < 1.0)) {
+    return fail("stop_alpha must be in (0, 1)");
+  }
+  if (stop.min_replicas == 0) return fail("min_replicas must be >= 1");
+  if (replica_cap < stop.min_replicas) {
+    return fail("max_replicas (or replicas) must be >= min_replicas");
+  }
+  if (!(stop.range_hi > stop.range_lo)) {
+    return fail("stop_range must have hi > lo");
+  }
+  if (!stop.metric.empty() &&
+      std::find(columns.begin(), columns.end(), stop.metric) ==
+          columns.end()) {
+    return fail("stop_metric '" + stop.metric +
+                "' is not among the campaign metrics");
+  }
   return true;
 }
 

@@ -40,6 +40,10 @@ namespace seg {
 
 enum class StopRule { kNone, kHoeffding, kBernstein, kPassRate };
 
+// Spec-text names, indexed by StopRule.
+inline constexpr const char* kStopRuleNames[] = {"none", "hoeffding",
+                                                 "bernstein", "pass_rate"};
+
 const char* stop_rule_name(StopRule rule);
 bool parse_stop_rule(const std::string& name, StopRule* out);
 
@@ -69,6 +73,17 @@ struct StopConfig {
   // first metric.
   std::string metric;
 };
+
+// The one consistency check of a stopping config, shared by
+// ScenarioSpec validation and every campaign builder: with a rule set,
+// delta > 0, alpha in (0, 1), 1 <= min_replicas <= `replica_cap` (the
+// spec's layout_replicas()), hi > lo, and a watched metric among the
+// campaign's `columns`. Takes the columns rather than consulting the
+// metric registry because custom replica fns (the percolation builtins)
+// emit columns the registry does not know. Always true for rule kNone.
+bool valid_stop_config(const StopConfig& stop, std::size_t replica_cap,
+                       const std::vector<std::string>& columns,
+                       std::string* error = nullptr);
 
 // Per-observation miscoverage budget alpha / (n (n + 1)).
 double anytime_alpha(std::size_t n, double alpha);

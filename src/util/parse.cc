@@ -1,5 +1,6 @@
 #include "util/parse.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -99,6 +100,38 @@ bool parse_double_checked(const std::string& token, double* out,
   }
   *out = value;
   return true;
+}
+
+std::string nearest_name(const std::string& token,
+                         const std::vector<std::string>& candidates) {
+  std::string best;
+  std::size_t best_distance = std::numeric_limits<std::size_t>::max();
+  for (const std::string& name : candidates) {
+    // Optimal-string-alignment distance: Levenshtein plus adjacent
+    // transpositions, so "shrads" is one edit from "shards".
+    const std::size_t rows = token.size() + 1, cols = name.size() + 1;
+    std::vector<std::size_t> d(rows * cols);
+    for (std::size_t i = 0; i < rows; ++i) d[i * cols] = i;
+    for (std::size_t j = 0; j < cols; ++j) d[j] = j;
+    for (std::size_t i = 1; i < rows; ++i) {
+      for (std::size_t j = 1; j < cols; ++j) {
+        const bool same = token[i - 1] == name[j - 1];
+        std::size_t v = std::min({d[(i - 1) * cols + j] + 1,
+                                  d[i * cols + j - 1] + 1,
+                                  d[(i - 1) * cols + j - 1] + !same});
+        if (i > 1 && j > 1 && token[i - 1] == name[j - 2] &&
+            token[i - 2] == name[j - 1]) {
+          v = std::min(v, d[(i - 2) * cols + j - 2] + 1);
+        }
+        d[i * cols + j] = v;
+      }
+    }
+    if (d.back() < best_distance) {
+      best_distance = d.back();
+      best = name;
+    }
+  }
+  return best;
 }
 
 }  // namespace seg

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace seg {
 
@@ -29,5 +30,11 @@ bool parse_int_checked(const std::string& token, int* out,
 // +/-HUGE_VAL (subnormal underflow is accepted as the rounded value).
 bool parse_double_checked(const std::string& token, double* out,
                           std::string* error = nullptr);
+
+// The candidate closest to `token` by edit distance (first on ties; ""
+// for no candidates). Unknown spec keys and CLI flags name it as the
+// "did you mean" suggestion.
+std::string nearest_name(const std::string& token,
+                         const std::vector<std::string>& candidates);
 
 }  // namespace seg

@@ -52,6 +52,15 @@ TEST(ArgParser, MalformedNumbersFallBack) {
   EXPECT_DOUBLE_EQ(p.get_double("tau", 0.25), 0.25);
 }
 
+TEST(ArgParser, MalformedBoolRecordsError) {
+  const auto p = make({"--resume=maybe", "--quiet"});
+  EXPECT_FALSE(p.get_bool("resume", false));
+  EXPECT_TRUE(p.get_bool("quiet"));
+  ASSERT_EQ(p.errors().size(), 1u);
+  EXPECT_NE(p.errors()[0].find("--resume"), std::string::npos);
+  EXPECT_NE(p.errors()[0].find("'maybe'"), std::string::npos);
+}
+
 TEST(ArgParser, PositionalCollected) {
   const auto p = make({"input.txt", "--n=3", "other"});
   ASSERT_EQ(p.positional().size(), 2u);
