@@ -47,18 +47,9 @@ void BM_ModelInit(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelInit)->Args({256, 4})->Args({256, 10})->Args({512, 10});
 
-// Storage backends are benchmarked side by side: arg value 0 forces the
-// byte backend (one int8 per spin, int32 counts), 1 forces the bit-packed
-// backend (one bit per spin, int16 counts + the AVX-512 flip kernel where
-// the CPU has it). scripts/bench.sh records the packed/byte ratio.
-seg::EngineStorage storage_arg(std::int64_t v) {
-  return v != 0 ? seg::EngineStorage::kPacked : seg::EngineStorage::kByte;
-}
-
 void BM_Flip(benchmark::State& state) {
   const int w = static_cast<int>(state.range(0));
   seg::ModelParams params{.n = 128, .w = w, .tau = 0.45, .p = 0.5};
-  params.storage = storage_arg(state.range(1));
   seg::Rng rng(2);
   seg::SchellingModel model(params, rng);
   std::uint32_t id = 0;
@@ -69,17 +60,11 @@ void BM_Flip(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2);
 }
-BENCHMARK(BM_Flip)
-    ->Args({2, 0})
-    ->Args({2, 1})
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({10, 0})
-    ->Args({10, 1});
+BENCHMARK(BM_Flip)->Arg(2)->Arg(4)->Arg(10);
 
 // The same torus expressed as a GraphTopology, driven through the
-// engine's graph mode (CSR row walk, per-degree-class tables, byte
-// storage). The BM_FlipGraphTorus/<w> : BM_Flip/<w>/0 ratio is the
+// engine's graph mode (CSR row walk, per-degree-class tables, one flat
+// bit row). The BM_FlipGraphTorus/<w> : BM_Flip/<w> ratio is the
 // generic-graph overhead factor on the torus fast path's home turf —
 // scripts/bench.sh records it as context.graph_overhead and
 // scripts/audit.py ties the README claim to it.
@@ -133,7 +118,6 @@ void BM_GlauberRun(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int w = static_cast<int>(state.range(1));
   seg::ModelParams params{.n = n, .w = w, .tau = 0.45, .p = 0.5};
-  params.storage = storage_arg(state.range(2));
   std::uint64_t flips = 0;
   for (auto _ : state) {
     state.PauseTiming();
@@ -148,14 +132,10 @@ void BM_GlauberRun(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(flips));
 }
 BENCHMARK(BM_GlauberRun)
-    ->Args({64, 2, 0})
-    ->Args({64, 2, 1})
-    ->Args({128, 2, 0})
-    ->Args({128, 2, 1})
-    ->Args({128, 4, 0})
-    ->Args({128, 4, 1})
-    ->Args({128, 10, 0})
-    ->Args({128, 10, 1});
+    ->Args({64, 2})
+    ->Args({128, 2})
+    ->Args({128, 4})
+    ->Args({128, 10});
 
 // One GET /metrics against the loopback endpoint; the scraper thread in
 // BM_GlauberRunScraped calls this at its polling cadence.
@@ -182,8 +162,8 @@ bool scrape_once(std::uint16_t port) {
   return total > 0;
 }
 
-// Exporter overhead under load: the BM_GlauberRun workload (128/10, flat
-// storage) with live telemetry, without (arg 0) and with (arg 1) a
+// Exporter overhead under load: the BM_GlauberRun/128/10 workload with
+// live telemetry, without (arg 0) and with (arg 1) a
 // /metrics endpoint being scraped every ~10ms from another thread.
 // scripts/bench.sh records the on/off ratio as
 // context.metrics_endpoint_overhead (min over repetitions); the README
@@ -246,7 +226,6 @@ void BM_GlauberSweep(benchmark::State& state) {
   const int shards = static_cast<int>(state.range(1));
   const int w = 4;
   seg::ModelParams params{.n = n, .w = w, .tau = 0.45, .p = 0.5};
-  params.storage = storage_arg(state.range(2));
   seg::Rng spin_rng(3);
   // One shared initial configuration; each iteration restarts from it so
   // the dynamics never runs into the absorbing tail where the flippable
@@ -277,29 +256,7 @@ void BM_GlauberSweep(benchmark::State& state) {
   state.counters["shards"] = shards;
 }
 BENCHMARK(BM_GlauberSweep)
-    // Full shard sweep on the packed backend (the resolved default), plus
-    // byte-backend reference rows at shards 0 and 4 for the storage ratio.
-    ->Args({1024, 0, 0})
-    ->Args({1024, 0, 1})
-    ->Args({1024, 1, 1})
-    ->Args({1024, 2, 1})
-    ->Args({1024, 4, 0})
-    ->Args({1024, 4, 1})
-    ->Args({1024, 8, 1})
-    ->Args({2048, 0, 0})
-    ->Args({2048, 0, 1})
-    ->Args({2048, 1, 1})
-    ->Args({2048, 2, 1})
-    ->Args({2048, 4, 0})
-    ->Args({2048, 4, 1})
-    ->Args({2048, 8, 1})
-    ->Args({4096, 0, 0})
-    ->Args({4096, 0, 1})
-    ->Args({4096, 1, 1})
-    ->Args({4096, 2, 1})
-    ->Args({4096, 4, 0})
-    ->Args({4096, 4, 1})
-    ->Args({4096, 8, 1})
+    ->ArgsProduct({{1024, 2048, 4096}, {0, 1, 2, 4, 8}})
     // Phase A runs on pool workers whose CPU time the main thread never
     // sees; wall-clock is the only honest basis for the flips/sec rate.
     ->UseRealTime()

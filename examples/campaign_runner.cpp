@@ -93,28 +93,26 @@ int list_scenarios() {
   return 0;
 }
 
-// Applies every flag that is not a run flag to `spec` as the spec key
-// of the same name with dashes for underscores. False, after printing
-// why, on a malformed value or on a flag that is neither (naming the
-// nearest known flag).
-bool apply_spec_flags(const seg::ArgParser& args, seg::ScenarioSpec* spec) {
+// Every flag campaign_runner knows: the run flags, then the spec keys
+// with dashes for underscores.
+std::vector<std::string> known_flags() {
   std::vector<std::string> known;
   for (const RunFlag& f : kRunFlags) known.emplace_back(f.name);
   for (const seg::SpecKeyInfo& key : seg::spec_keys()) {
     known.push_back(dashed(key.name));
   }
-  for (const auto& [flag, value] : args.flags()) {
-    const auto it = std::find(known.begin(), known.end(), flag);
-    if (it == known.end()) {
-      std::fprintf(stderr, "unknown flag --%s (did you mean --%s?)\n",
-                   flag.c_str(), seg::nearest_name(flag, known).c_str());
-      return false;
-    }
-    // `known` lists the run flags first; the rest are spec keys.
-    if (it - known.begin() < std::ssize(kRunFlags)) continue;
-    std::string key = flag, error;
-    std::replace(key.begin(), key.end(), '-', '_');
-    if (!spec->set(key, value, &error)) {
+  return known;
+}
+
+// Applies every spec-key flag to `spec` as the spec key of the same name
+// with dashes for underscores. False, after printing why, on a malformed
+// value. Unknown flags are left to ArgParser::check_usage.
+bool apply_spec_flags(const seg::ArgParser& args, seg::ScenarioSpec* spec) {
+  for (const seg::SpecKeyInfo& key : seg::spec_keys()) {
+    const std::string flag = dashed(key.name);
+    if (!args.has(flag)) continue;
+    std::string error;
+    if (!spec->set(key.name, args.get_string(flag), &error)) {
       std::fprintf(stderr, "--%s: %s\n", flag.c_str(), error.c_str());
       return false;
     }
@@ -126,11 +124,6 @@ bool apply_spec_flags(const seg::ArgParser& args, seg::ScenarioSpec* spec) {
 
 int main(int argc, char** argv) {
   const seg::ArgParser args(argc, argv);
-  if (!args.positional().empty()) {
-    std::fprintf(stderr, "unexpected argument '%s' (see --help)\n",
-                 args.positional()[0].c_str());
-    return 1;
-  }
   if (args.get_bool("help", false)) return print_help();
   if (args.get_bool("list", false)) return list_scenarios();
 
@@ -186,15 +179,10 @@ int main(int argc, char** argv) {
   const std::string flight_dump = args.get_string("flight-dump", "");
   const bool quiet = args.get_bool("quiet", false);
   const bool telemetry_flag = args.get_bool("telemetry", false);
-  // Every run flag is read by now; a malformed value ("--seed 10x", an
-  // overflowing count, "--resume=maybe") is a hard usage error, not a
-  // silent fallback to the default.
-  if (!args.errors().empty()) {
-    for (const std::string& e : args.errors()) {
-      std::fprintf(stderr, "%s\n", e.c_str());
-    }
-    return 1;
-  }
+  // Every run flag is read by now; a stray argument, an unknown flag
+  // or a malformed value ("--seed 10x", an overflowing count,
+  // "--resume=maybe") is a hard usage error, not a silent default.
+  if (!args.check_usage(known_flags())) return 1;
   if (metrics_port_arg > 65535) {
     std::fprintf(stderr, "--metrics-port must be in [0, 65535]\n");
     return 1;

@@ -23,6 +23,14 @@ int main(int argc, char** argv) {
   seg::RadicalParams rp;
   rp.eps_prime = args.get_double("eps_prime", 0.5);
   rp.eps = args.get_double("eps", 0.01);
+  const double r = args.get_double("r", params.n / 3.0);
+  if (!args.check_usage({"n", "w", "tau", "seed", "eps_prime", "eps", "r"})) {
+    return 1;
+  }
+  if (!params.valid()) {
+    std::fprintf(stderr, "invalid parameters\n");
+    return 1;
+  }
 
   const double f = seg::f_tau(params.tau);
   std::printf("tau=%.3f: Lemma 5 requires eps' > f(tau) = %.4f "
@@ -61,7 +69,6 @@ int main(int argc, char** argv) {
   }
 
   // Lemma 9 certificate for an annular firewall around the grid center.
-  const double r = args.get_double("r", params.n / 3.0);
   const auto cert = seg::firewall_certificate(
       {params.n / 2, params.n / 2}, r, params.w, params.tau, params.n);
   std::printf("firewall certificate (r=%.1f, width sqrt(2)w=%.2f): %s "

@@ -20,9 +20,14 @@ int main(int argc, char** argv) {
   const seg::ArgParser args(argc, argv);
   const int n = static_cast<int>(args.get_int("n", 96));
   const int w = static_cast<int>(args.get_int("w", 3));
-  const auto trials = static_cast<std::size_t>(args.get_int("trials", 4));
+  const std::size_t trials = args.get_u64("trials", 4);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
   const std::string out = args.get_string("out", "sweep.csv");
+  if (!args.check_usage({"n", "w", "trials", "seed", "out"})) return 1;
+  if (!seg::ModelParams{.n = n, .w = w}.valid() || trials == 0) {
+    std::fprintf(stderr, "invalid parameters\n");
+    return 1;
+  }
 
   std::printf("tau sweep on %dx%d torus, w=%d, %zu trials per tau\n", n, n, w,
               trials);

@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
   params.tau = args.get_double("tau", 0.35);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 8));
   const std::string out = args.get_string("out", "city.ppm");
+  if (!args.check_usage({"n", "w", "q", "tau", "seed", "out"})) return 1;
   if (!params.valid()) {
     std::fprintf(stderr, "invalid parameters\n");
     return 1;

@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   const int L = static_cast<int>(args.get_int("L", 128));
   const double p = args.get_double("p", 0.75);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
+  if (!args.check_usage({"L", "p", "seed"})) return 1;
 
   seg::Rng rng = seg::Rng::stream(seed, 0);
   const seg::SiteField field(L, p, rng);

@@ -1,7 +1,7 @@
 // Quickstart: run the paper's Schelling/Glauber process to its absorbing
 // state on a small torus and print what happened.
 //
-//   ./quickstart [--n 128] [--w 4] [--tau 0.45] [--seed 1]
+//   ./quickstart [--n 128] [--w 4] [--tau 0.45] [--p 0.5] [--seed 1]
 #include <cstdio>
 
 #include "analysis/clusters.h"
@@ -18,8 +18,12 @@ int main(int argc, char** argv) {
   params.tau = args.get_double("tau", 0.45);
   params.p = args.get_double("p", 0.5);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  if (!args.check_usage({"n", "w", "tau", "p", "seed"})) return 1;
   if (!params.valid()) {
-    std::fprintf(stderr, "invalid parameters (need 2w+1 <= n)\n");
+    std::fprintf(stderr,
+                 "invalid parameters (need 2w+1 <= n and a window of at "
+                 "most %d sites)\n",
+                 seg::kMaxNeighborhoodSize);
     return 1;
   }
 

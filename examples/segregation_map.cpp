@@ -46,6 +46,9 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   const auto frames = static_cast<int>(args.get_int("frames", 4));
   const std::string out_dir = args.get_string("out", "out");
+  if (!args.check_usage({"n", "w", "tau", "p", "seed", "frames", "out"})) {
+    return 1;
+  }
   if (!params.valid() || frames < 2) {
     std::fprintf(stderr, "invalid parameters\n");
     return 1;

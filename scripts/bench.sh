@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Emits BENCH_core.json at the repo root: the core hot-path benchmarks
-# (BM_Flip and BM_GlauberRun at w in {2, 4, 10} on both storage backends
-# — trailing benchmark arg 0 = byte, 1 = bit-packed — plus the
-# BM_GlauberSweep giant-lattice scaling curve: packed serial engine vs
-# 1/2/4/8 stripe shards at n in {1024, 2048, 4096}, with byte reference
-# rows, the BM_AdaptiveCampaign fixed-vs-adaptive scheduling pair, and
-# the BM_MeanMonoRegion region-measurement cost on three field shapes)
-# in Google Benchmark's JSON format, annotated with the
-# seed-implementation baselines, the sharded-vs-serial speedups, the
-# packed-vs-byte storage ratios, and the adaptive-campaign replica
-# savings so the perf trajectory is tracked PR over PR.
+# (BM_Flip/<w> and BM_GlauberRun/<n>/<w> at w in {2, 4, 10}, the
+# BM_FlipGraphTorus/<w> graph-mode rows, the BM_GlauberSweep/<n>/<shards>
+# giant-lattice scaling curve: serial engine vs 1/2/4/8 stripe shards at
+# n in {1024, 2048, 4096}, the BM_AdaptiveCampaign fixed-vs-adaptive
+# scheduling pair, and the BM_MeanMonoRegion region-measurement cost on
+# three field shapes) in Google Benchmark's JSON format, annotated with
+# the seed-implementation baselines, the sharded-vs-serial speedups, the
+# speedup over the last recorded byte-storage engine, the torus-as-graph
+# overhead, and the adaptive-campaign replica savings so the perf
+# trajectory is tracked PR over PR.
 #
 # The sharded speedups are wall-clock flips/sec ratios and therefore
 # bounded by the host's physical parallelism: on a 1-core container every
@@ -32,7 +32,7 @@ fi
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 (cd "$tmp" && "$repo/build/perf_core" \
-    --benchmark_filter='^BM_(AdaptiveCampaign|Flip|FlipTelemetry|GlauberRun|GlauberSweep|MeanMonoRegion|StreamingObservables)' \
+    --benchmark_filter='^BM_(AdaptiveCampaign|Flip|FlipGraphTorus|FlipTelemetry|GlauberRun|GlauberSweep|MeanMonoRegion|StreamingObservables)' \
     --benchmark_min_time=0.25 \
     --benchmark_format=json >raw.json)
 
@@ -41,7 +41,7 @@ trap 'rm -rf "$tmp"' EXIT
 # spread on the same loop is >10%), so the overhead is computed from the
 # min over 5 repetitions of each flip variant.
 (cd "$tmp" && "$repo/build/perf_core" \
-    --benchmark_filter='^(BM_Flip/10/1$|BM_FlipTelemetry)' \
+    --benchmark_filter='^(BM_Flip/10$|BM_FlipTelemetry)' \
     --benchmark_min_time=0.1 \
     --benchmark_repetitions=5 \
     --benchmark_report_aggregates_only=false \
@@ -70,10 +70,7 @@ import sys
 
 raw = json.load(open(sys.argv[1]))
 # Pre-lattice-engine (seed) timings for the same workloads, measured at
-# the start of the unified-engine PR on the reference container. Keyed
-# without the trailing storage argument (BM_Flip/<w>, not
-# BM_Flip/<w>/<storage>): the seed predates the backend split, so both
-# backends' rows get the same baseline.
+# the start of the unified-engine PR on the reference container.
 seed_ns = {
     "BM_Flip/2": 1020.0,
     "BM_Flip/4": 2643.0,
@@ -81,44 +78,37 @@ seed_ns = {
     "BM_GlauberRun/64/2": 724903.0,
     "BM_GlauberRun/128/2": 2806754.0,
 }
-# Byte-engine timings recorded by the previous PR's BENCH_core.json on
-# the reference container (pre-bit-packing state of this repo) — the
-# bit-packing PR's speedup claims in README.md are measured against
-# these, and scripts/audit.py cross-checks the claims.
+# Byte-storage engine timings recorded on the reference container before
+# bit-packing (the byte backend has since been deleted) — README.md's
+# packed-storage speedup claims are measured against these, and
+# scripts/audit.py cross-checks the claims.
 prior_byte_ns = {
     "BM_Flip/10": 1522.1,
     "BM_GlauberRun/128/10": 10299211.8,
 }
-serial_rate = {}   # n -> packed serial-engine flips/sec
+serial_rate = {}   # n -> serial-engine flips/sec
 sweep_rows = []
 recording = {}     # n -> {mode: real_time}; mode 0 = rescan, 1 = streaming
-by_storage = {}    # workload (name sans storage arg) -> {storage: ns}
+flip_ns = {}       # BM_Flip/<w> and BM_GlauberRun/<n>/<w> -> ns
 graph_flip = {}    # w -> ns; BM_FlipGraphTorus (CSR graph engine on torus)
 campaign = {}      # mode -> scheduled replicas; 0 = fixed, 1 = adaptive
 region = {}        # field label -> ns; BM_MeanMonoRegion/256/<field>
 for bench in raw.get("benchmarks", []):
     name = bench.get("name", "")
     parts = name.split("/")
-    workload = None
-    if name.startswith(("BM_Flip/", "BM_GlauberRun/")):
-        # BM_Flip/<w>/<storage>, BM_GlauberRun/<n>/<w>/<storage>
-        workload, storage = "/".join(parts[:-1]), int(parts[-1])
-    elif name.startswith("BM_GlauberSweep/"):
-        # BM_GlauberSweep/<n>/<shards>/<storage>/real_time
-        workload = "/".join(parts[:3])
-        storage = int(parts[3])
-    if workload is not None and bench.get("real_time"):
-        by_storage.setdefault(workload, {})[storage] = bench["real_time"]
-        baseline = seed_ns.get(workload)
+    if name.startswith(("BM_Flip/", "BM_GlauberRun/")) and \
+            bench.get("real_time"):
+        flip_ns[name] = bench["real_time"]
+        baseline = seed_ns.get(name)
         if baseline is not None:
             bench["seed_baseline_ns"] = baseline
             bench["speedup_vs_seed"] = round(baseline / bench["real_time"], 2)
     if name.startswith("BM_GlauberSweep/"):
-        n, shards, storage = int(parts[1]), int(parts[2]), int(parts[3])
-        if storage == 1:
-            if shards == 0:
-                serial_rate[n] = bench["items_per_second"]
-            sweep_rows.append((n, shards, bench))
+        # BM_GlauberSweep/<n>/<shards>/real_time
+        n, shards = int(parts[1]), int(parts[2])
+        if shards == 0:
+            serial_rate[n] = bench["items_per_second"]
+        sweep_rows.append((n, shards, bench))
     if name.startswith("BM_FlipGraphTorus/") and bench.get("real_time"):
         graph_flip[int(parts[1])] = bench["real_time"]
     if name.startswith("BM_StreamingObservables/"):
@@ -189,59 +179,51 @@ context["sharded_scaling"] = {
             "measures framework overhead only (the >=3x target at "
             "n=2048/8 shards needs >=4 physical cores)",
 }
-# Packed-vs-byte storage comparison: same-run ratio between the two
-# backend rows of each workload, plus the speedup of the packed backend
-# over the byte-engine numbers the *previous PR* recorded (the honest
-# "what did this PR buy" figure — README.md's claims quote these, and
-# scripts/audit.py fails if they drift from what is recorded here).
-packed_vs_byte = {
-    wl: round(times[0] / times[1], 2)
-    for wl, times in sorted(by_storage.items())
-    if 0 in times and 1 in times and times[1] > 0
-}
+# Packed storage vs the last recorded byte-storage engine: README.md's
+# claims quote these speedups, and scripts/audit.py fails if they drift
+# from what is recorded here.
 vs_prior = {
     wl: {
         "prior_byte_ns": prior,
-        "packed_ns": round(by_storage[wl][1], 1),
-        "speedup": round(prior / by_storage[wl][1], 2),
+        "packed_ns": round(flip_ns[wl], 1),
+        "speedup": round(prior / flip_ns[wl], 2),
     }
     for wl, prior in prior_byte_ns.items()
-    if by_storage.get(wl, {}).get(1)
+    if flip_ns.get(wl)
 }
 context["packed_storage"] = {
-    "metric": "bit-packed backend (storage arg 1: one bit/site, int16 "
-              "counts, AVX-512 flip kernel where the CPU has it) vs the "
-              "byte backend (storage arg 0) on the same workloads",
-    "packed_over_byte_same_run": packed_vs_byte,
+    "metric": "bit-packed engine (one bit/site, int16 counts, AVX-512 flip "
+              "kernel where the CPU has it) vs the byte-storage engine "
+              "timings recorded before packing",
     "packed_vs_prior_recorded_byte": vs_prior,
 }
 
 # Generic-graph dispatch overhead: BM_FlipGraphTorus/<w> drives the exact
 # BM_Flip loop through the CSR GraphTopology engine path on the torus the
-# native fast path was built for, so its ratio to BM_Flip/<w>/0 (byte
-# backend — the layout the graph engine uses) is the pure cost of the
-# indirection: CSR row walk + per-node class tables instead of the
-# precomputed stencil. README.md quotes the factor and scripts/audit.py
-# fails if the quote drifts from what is recorded here.
+# native fast path was built for, on the same bit storage, so its ratio
+# to BM_Flip/<w> is the pure cost of the indirection: CSR row walk +
+# per-node class tables instead of the span kernels. README.md quotes the
+# factor and scripts/audit.py fails if the quote drifts from what is
+# recorded here.
 # The context entry is self-contained (both ns values plus the factor,
 # like telemetry_overhead's baseline): the ratio only means something
 # same-run, so scripts/audit.py recomputes it from the pair recorded
 # here rather than from raw rows that may come from another run.
 graph_overhead = {}
 for w, t in sorted(graph_flip.items()):
-    native = by_storage.get(f"BM_Flip/{w}", {}).get(0)
+    native = flip_ns.get(f"BM_Flip/{w}")
     if native:
         graph_overhead[str(w)] = {
             "graph_ns": round(t, 1),
-            "native_byte_ns": round(native, 1),
+            "native_ns": round(native, 1),
             "factor": round(t / native, 2),
         }
 if graph_overhead:
     context["graph_overhead"] = {
         "metric": "BM_FlipGraphTorus/<w> (torus expressed as a CSR "
-                  "GraphTopology, engine graph mode) vs BM_Flip/<w>/0 "
-                  "(native span engine, byte backend), same flip/flip-back "
-                  "loop at n = 128, same run",
+                  "GraphTopology, engine graph mode) vs BM_Flip/<w> "
+                  "(native span engine), same flip/flip-back loop at "
+                  "n = 128, same run",
         "overhead_factor_by_w": graph_overhead,
     }
 
@@ -261,7 +243,7 @@ for bench in reps.get("benchmarks", []):
     prev = flip_times.get(name)
     flip_times[name] = min(prev, bench["real_time"]) if prev else \
         bench["real_time"]
-base = flip_times.get("BM_Flip/10/1")
+base = flip_times.get("BM_Flip/10")
 if base:
     overhead = {}
     for arg, label in ((0, "disabled"), (1, "enabled")):

@@ -306,9 +306,21 @@ bool ScenarioSpec::valid_for_columns(const std::vector<std::string>& columns,
           return fail(error,
                       "lollipop needs graph_clique >= 2, graph_path >= 1");
         }
+        // The clique node the path hangs off has the largest row.
+        if (graph_clique >= kMaxNeighborhoodSize) {
+          const std::string hub =
+              "lollipop node " + std::to_string(graph_clique - 1);
+          return fail(error, over_neighborhood_limit(
+                                 hub, std::int64_t{graph_clique} + 1));
+        }
         break;
       case TopologyFamily::kRandomRegular:
         if (graph_degree < 1) return fail(error, "graph_degree must be >= 1");
+        if (graph_degree >= kMaxNeighborhoodSize) {
+          return fail(error,
+                      over_neighborhood_limit("random_regular node 0",
+                                              std::int64_t{graph_degree} + 1));
+        }
         for (const int side : n) {
           const std::size_t nodes =
               graph_nodes > 0 ? graph_nodes
@@ -339,6 +351,13 @@ bool ScenarioSpec::valid_for_columns(const std::vector<std::string>& columns,
     return false;
   }
   for (const ScenarioPoint& pt : expand_grid(*this)) {
+    const std::int64_t window =
+        window_site_count(pt.params.shape, pt.params.w);
+    if (window > kMaxNeighborhoodSize) {
+      const std::string where = "point (n=" + std::to_string(pt.params.n) +
+                                ", w=" + std::to_string(pt.params.w) + ")";
+      return fail(error, over_neighborhood_limit(where, window));
+    }
     if (!pt.params.valid()) {
       char buf[96];
       std::snprintf(buf, sizeof(buf),

@@ -24,7 +24,7 @@ BinarySpinEngine ComfortModel::make_engine(const ComfortParams& params,
                           neighborhood_offsets(NeighborhoodShape::kMoore,
                                                params.w),
                           std::move(spins), std::move(table),
-                          /*set_count=*/1, ShardLayout(), params.storage);
+                          /*set_count=*/1);
 }
 
 BinarySpinEngine ComfortModel::make_graph_engine(

@@ -33,10 +33,10 @@ struct ComfortParams {
   double tau_lo = 0.45;  // minimum comfortable same-type fraction
   double tau_hi = 1.0;   // maximum comfortable same-type fraction
   double p = 0.5;
-  // Engine storage backend; see ModelParams::storage.
-  EngineStorage storage = EngineStorage::kDefault;
 
-  int neighborhood_size() const { return (2 * w + 1) * (2 * w + 1); }
+  int neighborhood_size() const {
+    return static_cast<int>(window_site_count(NeighborhoodShape::kMoore, w));
+  }
   // Band edges for an arbitrary neighborhood size — the graph engine
   // computes these per degree class.
   static int k_lo_of(double tau_lo, int N) {
@@ -54,9 +54,13 @@ struct ComfortParams {
   // Inclusive integer band [k_lo, k_hi] on the same-type count.
   int k_lo() const { return k_lo_of(tau_lo, neighborhood_size()); }
   int k_hi() const { return k_hi_of(tau_hi, neighborhood_size()); }
+  // Also refuses windows over kMaxNeighborhoodSize sites (w > 90).
   bool valid() const {
-    return n > 0 && w >= 1 && 2 * w + 1 <= n && tau_lo >= 0.0 &&
-           tau_lo <= tau_hi && tau_hi <= 1.0 && p >= 0.0 && p <= 1.0;
+    return n > 0 && w >= 1 && 2 * w + 1 <= n &&
+           window_site_count(NeighborhoodShape::kMoore, w) <=
+               kMaxNeighborhoodSize &&
+           tau_lo >= 0.0 && tau_lo <= tau_hi && tau_hi <= 1.0 && p >= 0.0 &&
+           p <= 1.0;
   }
 };
 

@@ -55,8 +55,7 @@ BinarySpinEngine SchellingModel::make_engine(const ModelParams& params,
                           params.shape == NeighborhoodShape::kMoore,
                           neighborhood_offsets(params.shape, params.w),
                           std::move(spins), std::move(table),
-                          /*set_count=*/2, std::move(layout),
-                          params.storage);
+                          /*set_count=*/2, std::move(layout));
 }
 
 BinarySpinEngine SchellingModel::make_graph_engine(

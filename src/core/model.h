@@ -103,17 +103,16 @@ class SchellingModel {
   std::int8_t spin(std::uint32_t id) const { return engine_.spin(id); }
   std::int8_t spin_at(int x, int y) const;
   // Snapshot of the spin field, one byte per site. Returns BY VALUE: the
-  // packed storage backend has no byte array to reference, so the old
-  // by-reference accessor is gone — hot loops should iterate spin(id) or
-  // hoist one snapshot instead of calling this per element.
+  // engine stores bits and has no byte array to reference — hot loops
+  // should iterate spin(id) or hoist one snapshot instead of calling this
+  // per element.
   std::vector<std::int8_t> spins() const { return engine_.spins_snapshot(); }
   std::vector<std::int8_t> spins_snapshot() const {
     return engine_.spins_snapshot();
   }
-  // One-bit-per-site copy of the field (cheap under packed storage);
-  // feeds the popcount scanners (PackedHaloField, packed_window_count).
+  // One-bit-per-site copy of the field (a word copy); feeds the popcount
+  // scanners (PackedHaloField, packed_window_count).
   BitField packed_spins() const { return engine_.packed_spins(); }
-  EngineStorage storage() const { return engine_.storage(); }
 
   std::uint32_t id_of(int x, int y) const;
   Point point_of(std::uint32_t id) const;

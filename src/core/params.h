@@ -15,8 +15,9 @@
 #pragma once
 
 #include <cassert>
+#include <cstdint>
 
-#include "lattice/storage.h"
+#include "lattice/membership.h"
 #include "theory/bounds.h"
 
 namespace seg {
@@ -27,6 +28,14 @@ namespace seg {
 // modeling choice.
 enum class NeighborhoodShape { kMoore, kVonNeumann };
 
+// Sites in the radius-w window, self included; 64-bit so that validation
+// can test any int w without overflow.
+inline std::int64_t window_site_count(NeighborhoodShape shape, int w) {
+  const std::int64_t r = w;
+  return shape == NeighborhoodShape::kMoore ? (2 * r + 1) * (2 * r + 1)
+                                            : 2 * r * (r + 1) + 1;
+}
+
 struct ModelParams {
   int n = 64;         // grid side
   int w = 2;          // horizon (neighborhood radius)
@@ -35,15 +44,9 @@ struct ModelParams {
   double p = 0.5;     // initial Bernoulli parameter for type +1
   double tau_minus = -1.0;  // optional separate intolerance for type -1
   NeighborhoodShape shape = NeighborhoodShape::kMoore;
-  // Engine storage backend; kDefault resolves to the build default
-  // (packed unless -DSEG_PACKED_DEFAULT=OFF). Trajectories are bitwise
-  // identical under either backend — this only selects the layout.
-  EngineStorage storage = EngineStorage::kDefault;
 
   int neighborhood_size() const {
-    return shape == NeighborhoodShape::kMoore
-               ? (2 * w + 1) * (2 * w + 1)
-               : 2 * w * (w + 1) + 1;
+    return static_cast<int>(window_site_count(shape, w));
   }
 
   double tau_of(int type) const {
@@ -62,9 +65,13 @@ struct ModelParams {
 
   bool symmetric() const { return tau_minus < 0.0 || tau_minus == tau; }
 
+  // Also refuses windows over kMaxNeighborhoodSize sites (w > 90 on the
+  // Moore stencil).
   bool valid() const {
-    return n > 0 && w >= 1 && 2 * w + 1 <= n && tau >= 0.0 && tau <= 1.0 &&
-           p >= 0.0 && p <= 1.0 && (tau_minus < 0.0 || tau_minus <= 1.0);
+    return n > 0 && w >= 1 && 2 * w + 1 <= n &&
+           window_site_count(shape, w) <= kMaxNeighborhoodSize &&
+           tau >= 0.0 && tau <= 1.0 && p >= 0.0 && p <= 1.0 &&
+           (tau_minus < 0.0 || tau_minus <= 1.0);
   }
 };
 

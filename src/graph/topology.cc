@@ -1,9 +1,11 @@
 #include "graph/topology.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <unordered_set>
 
+#include "lattice/membership.h"
 #include "rng/rng.h"
 #include "util/parse.h"
 #include "util/seg_assert.h"
@@ -261,40 +263,24 @@ bool GraphTopology::load_edge_list(const std::string& path, GraphTopology* out,
     if (error) *error = msg;
     return false;
   };
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (!f) return fail("cannot open edge list '" + path + "'");
+  std::ifstream in(path);
+  if (!in) return fail("cannot open edge list '" + path + "'");
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
   std::uint32_t max_node = 0;
-  char line[256];
-  int line_no = 0;
-  while (std::fgets(line, sizeof line, f)) {
-    ++line_no;
-    std::string s(line);
-    if (const auto hash = s.find('#'); hash != std::string::npos) {
-      s.resize(hash);
-    }
-    // Tokenize on whitespace.
-    std::vector<std::string> tokens;
-    std::size_t i = 0;
-    while (i < s.size()) {
-      while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) {
-        ++i;
-      }
-      std::size_t start = i;
-      while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) {
-        ++i;
-      }
-      if (i > start) tokens.push_back(s.substr(start, i - start));
-    }
-    if (tokens.empty()) continue;
+  std::string line;
+  for (int line_no = 1; std::getline(in, line); ++line_no) {
+    line.resize(std::min(line.size(), line.find('#')));
+    std::istringstream tokens(line);
+    std::vector<std::string> fields;
+    for (std::string t; tokens >> t;) fields.push_back(t);
+    if (fields.empty()) continue;
     std::uint64_t a = 0;
     std::uint64_t b = 0;
     std::string parse_error;
-    if (tokens.size() != 2 ||
-        !parse_u64_checked(tokens[0], &a, &parse_error) ||
-        !parse_u64_checked(tokens[1], &b, &parse_error) || a > 0xffffffffu ||
+    if (fields.size() != 2 ||
+        !parse_u64_checked(fields[0], &a, &parse_error) ||
+        !parse_u64_checked(fields[1], &b, &parse_error) || a > 0xffffffffu ||
         b > 0xffffffffu) {
-      std::fclose(f);
       return fail(path + ":" + std::to_string(line_no) +
                   ": expected 'u v' edge line" +
                   (parse_error.empty() ? "" : " (" + parse_error + ")"));
@@ -304,9 +290,16 @@ bool GraphTopology::load_edge_list(const std::string& path, GraphTopology* out,
     max_node = std::max({max_node, static_cast<std::uint32_t>(a),
                          static_cast<std::uint32_t>(b)});
   }
-  std::fclose(f);
   if (edges.empty()) return fail("edge list '" + path + "' has no edges");
-  *out = from_edges(static_cast<std::size_t>(max_node) + 1, edges);
+  GraphTopology g = from_edges(static_cast<std::size_t>(max_node) + 1, edges);
+  for (std::uint32_t v = 0; v < g.node_count(); ++v) {
+    if (g.neighborhood_size(v) > kMaxNeighborhoodSize) {
+      return fail(path + ": " +
+                  over_neighborhood_limit("node " + std::to_string(v),
+                                          g.neighborhood_size(v)));
+    }
+  }
+  *out = std::move(g);
   return true;
 }
 

@@ -92,8 +92,10 @@ class GraphTopology {
       std::size_t nodes,
       const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges);
   // Text edge list: one "u v" pair per line, '#' comments; node count is
-  // 1 + the largest id seen. False (with *error) on unreadable files,
-  // malformed tokens, or an empty edge set.
+  // 1 + the largest id seen, and self loops and duplicates are dropped as
+  // in from_edges. False (with *error) on an unreadable file, a malformed
+  // line (named by number), an empty edge set, or a node whose
+  // neighbourhood exceeds kMaxNeighborhoodSize (named by id).
   static bool load_edge_list(const std::string& path, GraphTopology* out,
                              std::string* error = nullptr);
 

@@ -1,6 +1,9 @@
 #include "lattice/engine.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <unordered_map>
 
 #include "grid/box_sum.h"
@@ -11,20 +14,34 @@
 
 namespace seg {
 
-#if SEG_ENGINE_AVX512
 namespace {
+
+#if SEG_ENGINE_AVX512
 bool cpu_has_avx512bw() {
   static const bool ok = __builtin_cpu_supports("avx512bw");
   return ok;
 }
-}  // namespace
 #endif
+
+// The int16 counts hold kMaxNeighborhoodSize at most. Parameter, spec and
+// edge-list validation refuse larger neighbourhoods with a message; this
+// is the backstop for direct engine users, on in every build type.
+void require_int16_counts(int size, const std::string& who) {
+  static_assert(kMaxNeighborhoodSize ==
+                std::numeric_limits<std::int16_t>::max());
+  if (size <= kMaxNeighborhoodSize) return;
+  std::fprintf(stderr, "BinarySpinEngine: %s\n",
+               over_neighborhood_limit(who, size).c_str());
+  std::abort();
+}
+
+}  // namespace
 
 BinarySpinEngine::BinarySpinEngine(int n, int w, bool dense_window,
                                    std::vector<Point> offsets,
-                                   std::vector<std::int8_t> spins,
+                                   const std::vector<std::int8_t>& spins,
                                    MembershipTable table, int set_count,
-                                   ShardLayout layout, EngineStorage storage)
+                                   ShardLayout layout)
     : geometry_(n, w),
       layout_(std::move(layout)),
       shard_count_(layout_.shard_count()),
@@ -32,53 +49,37 @@ BinarySpinEngine::BinarySpinEngine(int n, int w, bool dense_window,
       set_count_(set_count),
       offsets_(std::move(offsets)),
       table_(std::move(table)),
-      spins_(std::move(spins)),
-      plus_count_(spins_.size(), 0),
-      status_(spins_.size(), 0) {
+      bits_(spins, n),
+      plus_count_(spins.size(), 0),
+      status_(spins.size(), 0) {
   assert(set_count_ >= 1 && set_count_ <= 8);
-  assert(spins_.size() == geometry_.site_count());
+  assert(spins.size() == geometry_.site_count());
   assert(!dense_window_ ||
          static_cast<int>(offsets_.size()) == geometry_.window_size());
   assert(layout_.compatible(n, w));
-  storage_ = resolve_storage(storage);
-  // int16 counts cap the packed window at 32767 sites (w <= 90 on the
-  // Moore stencil); larger windows keep the byte backend.
-  if (storage_ == EngineStorage::kPacked && window_size() > 32767) {
-    storage_ = EngineStorage::kByte;
-  }
+  require_int16_counts(window_size(), "every site");
+  atomic_bits_ = !layout_.trivial() && layout_.splits_aligned_columns(64);
   sets_.reserve(static_cast<std::size_t>(set_count_) * shard_count_);
   for (int i = 0; i < set_count_ * shard_count_; ++i) {
     // Each shard slice spans only its shard's id window, so sharded set
     // memory stays O(sites) overall (exactly, for stripe layouts).
     const auto [base, extent] = layout_.id_window(i % shard_count_);
     if (extent == 0) {
-      sets_.emplace_back(spins_.size());
+      sets_.emplace_back(spins.size());
     } else {
       sets_.emplace_back(extent, base);
     }
   }
-  init_counts();
-  if (packed()) {
-    bits_ = BitField(spins_, n);
-    atomic_bits_ = !layout_.trivial() && layout_.splits_aligned_columns(64);
-    plus_count16_.assign(plus_count_.begin(), plus_count_.end());
-    // The byte-side arrays are dead weight under the packed backend; the
-    // bit array plus int16 counts ARE the working set.
-    plus_count_.clear();
-    plus_count_.shrink_to_fit();
-    spins_.clear();
-    spins_.shrink_to_fit();
-  }
+  init_counts(spins);
   init_codes();
   init_breaks();
 #if SEG_ENGINE_AVX512
-  simd_kernel_ =
-      packed() && dense_window_ && sparse_crossings_ && cpu_has_avx512bw();
+  simd_kernel_ = dense_window_ && sparse_crossings_ && cpu_has_avx512bw();
 #endif
 }
 
 BinarySpinEngine::BinarySpinEngine(std::shared_ptr<const GraphTopology> graph,
-                                   std::vector<std::int8_t> spins,
+                                   const std::vector<std::int8_t>& spins,
                                    const GraphCodeFn& code_of, int set_count,
                                    GraphPartition partition)
     // geometry_ and table_ are torus-path state; graph mode never consults
@@ -90,23 +91,26 @@ BinarySpinEngine::BinarySpinEngine(std::shared_ptr<const GraphTopology> graph,
       sparse_crossings_(false),
       set_count_(set_count),
       table_(0, [](bool, int) { return std::uint8_t{0}; }),
-      spins_(std::move(spins)),
-      plus_count_(spins_.size(), 0),
-      status_(spins_.size(), 0),
+      bits_(spins, 1, static_cast<int>(spins.size())),
+      plus_count_(spins.size(), 0),
+      status_(spins.size(), 0),
       graph_(std::move(graph)),
       partition_(std::move(partition)) {
   assert(graph_ != nullptr);
   assert(set_count_ >= 1 && set_count_ <= 8);
-  assert(spins_.size() == graph_->node_count());
+  assert(spins.size() == graph_->node_count());
   assert(partition_.compatible(*graph_));
-  // Byte backend only: bit-packing and the break fast path are span
-  // machinery; a graph flip is a CSR row walk with exact touch updates.
-  storage_ = EngineStorage::kByte;
   for (int k = 0; k < kMaxBreaks; ++k) breaks_[k] = -2;
-  init_graph(code_of);
+  // Parts are arbitrary node sets, so a 64-node word may hold two.
+  for (std::uint32_t v = 1; v < spins.size() && !atomic_bits_; ++v) {
+    atomic_bits_ = (v & 63) != 0 &&
+                   partition_.part_of(v) != partition_.part_of(v - 1);
+  }
+  init_graph(code_of, spins);
 }
 
-void BinarySpinEngine::init_graph(const GraphCodeFn& code_of) {
+void BinarySpinEngine::init_graph(const GraphCodeFn& code_of,
+                                  const std::vector<std::int8_t>& spins) {
   const std::size_t nodes = graph_->node_count();
   // One membership table per distinct neighborhood size. Uniform-degree
   // graphs get exactly one, so the per-touch cost matches the torus path
@@ -118,6 +122,7 @@ void BinarySpinEngine::init_graph(const GraphCodeFn& code_of) {
     const auto [it, inserted] = class_of.try_emplace(
         nsize, static_cast<std::uint16_t>(class_tables_.size()));
     if (inserted) {
+      require_int16_counts(nsize, "node " + std::to_string(v));
       class_tables_.emplace_back(nsize, [&](bool plus, int count) {
         return code_of(nsize, plus, count);
       });
@@ -132,21 +137,17 @@ void BinarySpinEngine::init_graph(const GraphCodeFn& code_of) {
     sets_.emplace_back(nodes);
   }
   for (std::uint32_t v = 0; v < nodes; ++v) {
-    assert(spins_[v] == 1 || spins_[v] == -1);
+    assert(spins[v] == 1 || spins[v] == -1);
     const auto [row, len] = graph_->row(v);
     std::int32_t plus = 0;
-    for (int i = 0; i < len; ++i) plus += spins_[row[i]] > 0;
-    plus_count_[v] = plus;
+    for (int i = 0; i < len; ++i) plus += spins[row[i]] > 0;
+    plus_count_[v] = static_cast<std::int16_t>(plus);
   }
   // Ascending id, matching the torus init_codes order, so initial set
   // contents are permutation-identical between the two modes.
   for (std::uint32_t v = 0; v < nodes; ++v) {
-    const MembershipTable& table = class_tables_[table_of_[v]];
-    const std::uint8_t want = table.code(spins_[v] > 0, plus_count_[v]);
-    if (want != 0) {
-      apply_code(v, 0, want);
-      status_[v] = want;
-    }
+    apply_code(v, class_tables_[table_of_[v]].code(spins[v] > 0,
+                                                   plus_count_[v]));
   }
 }
 
@@ -164,50 +165,47 @@ void BinarySpinEngine::init_breaks() {
   }
 }
 
-void BinarySpinEngine::init_counts() {
-  std::vector<std::int32_t> plus_indicator(spins_.size());
-  for (std::size_t i = 0; i < spins_.size(); ++i) {
-    assert(spins_[i] == 1 || spins_[i] == -1);
-    plus_indicator[i] = spins_[i] > 0 ? 1 : 0;
+void BinarySpinEngine::init_counts(const std::vector<std::int8_t>& spins) {
+  std::vector<std::int32_t> plus_indicator(spins.size());
+  for (std::size_t i = 0; i < spins.size(); ++i) {
+    assert(spins[i] == 1 || spins[i] == -1);
+    plus_indicator[i] = spins[i] > 0 ? 1 : 0;
   }
   const int n = geometry_.side();
+  std::vector<std::int32_t> counts;
   if (dense_window_) {
     // Separable sliding-window box sum, O(n^2) independent of w.
-    plus_count_ = box_sum_torus(plus_indicator, n, geometry_.radius());
-    return;
-  }
-  // Generic stencil: one cache-friendly shifted-add pass per offset,
-  // O(n^2 N) at construction only.
-  for (const Point o : offsets_) {
-    for (int y = 0; y < n; ++y) {
-      const std::size_t src_row =
-          static_cast<std::size_t>(torus_wrap(y + o.y, n)) * n;
-      std::int32_t* dst =
-          plus_count_.data() + static_cast<std::size_t>(y) * n;
-      for (int x = 0; x < n; ++x) {
-        dst[x] += plus_indicator[src_row + torus_wrap(x + o.x, n)];
+    counts = box_sum_torus(plus_indicator, n, geometry_.radius());
+  } else {
+    // Generic stencil: one cache-friendly shifted-add pass per offset,
+    // O(n^2 N) at construction only.
+    counts.assign(spins.size(), 0);
+    for (const Point o : offsets_) {
+      for (int y = 0; y < n; ++y) {
+        const std::size_t src_row =
+            static_cast<std::size_t>(torus_wrap(y + o.y, n)) * n;
+        std::int32_t* dst = counts.data() + static_cast<std::size_t>(y) * n;
+        for (int x = 0; x < n; ++x) {
+          dst[x] += plus_indicator[src_row + torus_wrap(x + o.x, n)];
+        }
       }
     }
   }
+  plus_count_.assign(counts.begin(), counts.end());
 }
 
 void BinarySpinEngine::init_codes() {
   const std::uint8_t* tbl = table_.data();
   const std::size_t sites = size();
   for (std::uint32_t id = 0; id < sites; ++id) {
-    const std::uint8_t want =
-        tbl[table_.spin_offset(spin(id)) + plus_count(id)];
-    if (want != 0) {
-      apply_code(id, 0, want);
-      status_[id] = want;
-    }
+    apply_code(id, tbl[table_.spin_offset(spin(id)) + plus_count(id)]);
   }
 }
 
-template <typename CountT, int NB>
+template <int NB>
 void BinarySpinEngine::flip_dense_sparse(std::uint32_t id,
-                                         std::int32_t delta,
-                                         CountT* counts) {
+                                         std::int32_t delta) {
+  using CountT = std::int16_t;
   // A code changes when the count crosses a piece boundary: arriving at
   // `break` going up, or at `break - 1` going down. Two passes per row
   // span — a count update and an any-hit OR-reduction, both against
@@ -226,7 +224,7 @@ void BinarySpinEngine::flip_dense_sparse(std::uint32_t id,
                "window span [" << base << ", " << base + len
                                << ") of site " << id
                                << " escapes the lattice");
-    CountT* cnt = counts + base;
+    CountT* cnt = plus_count_.data() + base;
     // The flipped agent itself changes code by changing sign, not by
     // crossing a count boundary — its span always rescans, and the
     // rescan must hit it at its window position to keep the legacy set
@@ -265,42 +263,23 @@ void BinarySpinEngine::flip_impl(std::uint32_t id) {
     flip_graph(id);
     return;
   }
-  const std::int8_t old_spin = spin(id);
-  SEG_ASSERT(old_spin == 1 || old_spin == -1,
-             "site " << id << " holds corrupt spin "
-                     << static_cast<int>(old_spin));
-  if (packed()) {
-    // Packed-path flip counter: same slab-write contract as
-    // "engine.flips" above; disabled cost is one relaxed load + branch.
-    SEG_COUNT("engine.packed_flips", 1);
-    if (atomic_bits_) {
-      bits_.flip_atomic(id);
-    } else {
-      bits_.flip(id);
-    }
+  const std::int32_t delta = bits_.test(id) ? -1 : +1;
+  if (atomic_bits_) {
+    bits_.flip_atomic(id);
   } else {
-    spins_[id] = static_cast<std::int8_t>(-old_spin);
+    bits_.flip(id);
   }
-  const std::int32_t delta = old_spin > 0 ? -1 : +1;
 #if SEG_ENGINE_AVX512
   if (simd_kernel_) {
-    flip_packed_avx512(id, delta);
+    flip_avx512(id, delta);
     return;
   }
 #endif
   if (dense_window_ && sparse_crossings_) {
-    if (packed()) {
-      if (break_count_ <= 4) {
-        flip_dense_sparse<std::int16_t, 4>(id, delta, plus_count16_.data());
-      } else {
-        flip_dense_sparse<std::int16_t, 8>(id, delta, plus_count16_.data());
-      }
+    if (break_count_ <= 4) {
+      flip_dense_sparse<4>(id, delta);
     } else {
-      if (break_count_ <= 4) {
-        flip_dense_sparse<std::int32_t, 4>(id, delta, plus_count_.data());
-      } else {
-        flip_dense_sparse<std::int32_t, 8>(id, delta, plus_count_.data());
-      }
+      flip_dense_sparse<8>(id, delta);
     }
     return;
   }
@@ -308,7 +287,7 @@ void BinarySpinEngine::flip_impl(std::uint32_t id) {
     geometry_.for_each_span(id, [&](std::size_t base, int len) {
       for (int i = 0; i < len; ++i) {
         const auto j = static_cast<std::uint32_t>(base + i);
-        touch(j, bump_count(j, delta));
+        touch(j, plus_count_[j] += delta);
       }
     });
     return;
@@ -320,17 +299,17 @@ void BinarySpinEngine::flip_impl(std::uint32_t id) {
     const std::uint32_t j = static_cast<std::uint32_t>(
         static_cast<std::size_t>(torus_wrap(cy + o.y, n)) * n +
         torus_wrap(cx + o.x, n));
-    touch(j, bump_count(j, delta));
+    touch(j, plus_count_[j] += delta);
   }
 }
 
 void BinarySpinEngine::flip_graph(std::uint32_t id) {
-  const std::int8_t old_spin = spins_[id];
-  SEG_ASSERT(old_spin == 1 || old_spin == -1,
-             "node " << id << " holds corrupt spin "
-                     << static_cast<int>(old_spin));
-  spins_[id] = static_cast<std::int8_t>(-old_spin);
-  const std::int32_t delta = old_spin > 0 ? -1 : +1;
+  const std::int32_t delta = bits_.flat_test(id) ? -1 : +1;
+  if (atomic_bits_) {
+    bits_.flat_flip_atomic(id);
+  } else {
+    bits_.flat_flip(id);
+  }
   // row(id) includes id itself, so the flipped node's own count and code
   // update in the same pass; on a torus-built graph the row IS the legacy
   // stencil order, so the touch/set-mutation history matches the span
@@ -344,7 +323,7 @@ void BinarySpinEngine::flip_graph(std::uint32_t id) {
 
 #if SEG_ENGINE_AVX512
 __attribute__((target("avx512f,avx512bw"))) void
-BinarySpinEngine::flip_packed_avx512(std::uint32_t id, std::int32_t delta) {
+BinarySpinEngine::flip_avx512(std::uint32_t id, std::int32_t delta) {
   const int n = geometry_.side();
   const int w = geometry_.radius();
   const int side = 2 * w + 1;
@@ -371,7 +350,7 @@ BinarySpinEngine::flip_packed_avx512(std::uint32_t id, std::int32_t delta) {
     vb6 = _mm512_set1_epi16(static_cast<std::int16_t>(breaks_[6] - shift));
     vb7 = _mm512_set1_epi16(static_cast<std::int16_t>(breaks_[7] - shift));
   }
-  std::int16_t* counts = plus_count16_.data();
+  std::int16_t* counts = plus_count_.data();
   // Same decomposition and order as for_each_window_span: rows from
   // cy - w wrapping upward, each row the wrapped-start segment then (if
   // the window crosses the seam) the head segment.
@@ -434,66 +413,32 @@ BinarySpinEngine::flip_packed_avx512(std::uint32_t id, std::int32_t delta) {
 }
 #endif  // SEG_ENGINE_AVX512
 
-std::vector<std::int8_t> BinarySpinEngine::spins_snapshot() const {
-  return packed() ? bits_.unpack() : spins_;
-}
-
-BitField BinarySpinEngine::packed_spins() const {
-  return packed() ? bits_ : BitField(spins_, geometry_.side());
-}
-
-std::int64_t BinarySpinEngine::plus_total() const {
-  if (packed()) return bits_.count_all();
-  std::int64_t total = 0;
-  for (const std::int8_t s : spins_) total += (s > 0);
-  return total;
-}
-
 bool BinarySpinEngine::check_invariants() const {
-  if (graph_) {
-    const std::size_t nodes = size();
-    for (std::uint32_t id = 0; id < nodes; ++id) {
-      if (spins_[id] != 1 && spins_[id] != -1) return false;
-      const auto [row, len] = graph_->row(id);
-      std::int32_t plus = 0;
-      for (int i = 0; i < len; ++i) plus += spins_[row[i]] > 0;
-      if (plus != plus_count_[id]) return false;
-      const MembershipTable& table = class_tables_[table_of_[id]];
-      if (status_[id] != table.code(spins_[id] > 0, plus)) return false;
-      const int owner = partition_.part_of(id);
-      for (int s = 0; s < set_count_; ++s) {
-        for (int shard = 0; shard < shard_count_; ++shard) {
-          const bool want =
-              shard == owner && (((status_[id] >> s) & 1) != 0);
-          if (sets_[s * shard_count_ + shard].contains(id) != want) {
-            return false;
-          }
-        }
-      }
-    }
-    return true;
-  }
   const int n = geometry_.side();
-  const std::size_t sites = size();
-  for (std::uint32_t id = 0; id < sites; ++id) {
-    if (spin(id) != 1 && spin(id) != -1) return false;
+  for (std::uint32_t id = 0; id < size(); ++id) {
     std::int32_t plus = 0;
-    const int cx = static_cast<int>(id % n);
-    const int cy = static_cast<int>(id / n);
-    for (const Point o : offsets_) {
-      plus += spin(static_cast<std::uint32_t>(
-                 static_cast<std::size_t>(torus_wrap(cy + o.y, n)) * n +
-                 torus_wrap(cx + o.x, n))) > 0;
+    std::uint8_t code = 0;
+    if (graph_) {
+      const auto [row, len] = graph_->row(id);
+      for (int i = 0; i < len; ++i) plus += bits_.flat_test(row[i]);
+      code = class_tables_[table_of_[id]].code(bits_.flat_test(id), plus);
+    } else {
+      const int cx = static_cast<int>(id % n);
+      const int cy = static_cast<int>(id / n);
+      for (const Point o : offsets_) {
+        plus += bits_.test(static_cast<std::uint32_t>(
+            static_cast<std::size_t>(torus_wrap(cy + o.y, n)) * n +
+            torus_wrap(cx + o.x, n)));
+      }
+      code = table_.code(bits_.test(id), plus);
     }
-    if (plus != plus_count(id)) return false;
-    if (status_[id] != table_.code(spin(id) > 0, plus)) return false;
-    const int owner = layout_.shard_of(id);
+    if (plus != plus_count_[id] || status_[id] != code) return false;
+    const int owner = site_shard(id);
     for (int s = 0; s < set_count_; ++s) {
       // The membership must live in the owning shard's slice and nowhere
       // else — a flip routed through the wrong shard would double-count.
       for (int shard = 0; shard < shard_count_; ++shard) {
-        const bool want =
-            shard == owner && (((status_[id] >> s) & 1) != 0);
+        const bool want = shard == owner && (((code >> s) & 1) != 0);
         if (sets_[s * shard_count_ + shard].contains(id) != want) {
           return false;
         }

@@ -9,14 +9,10 @@
 // membership updates fire only for sites whose count crossed a model
 // threshold — O(#crossings) set operations instead of (2w+1)^2 probes.
 //
-// Storage backends (lattice/storage.h): the byte backend keeps one int8
-// spin per site with int32 counts (the PR 2 reference layout); the packed
-// backend keeps one *bit* per site (lattice/bitfield.h) with int16
-// counts, shrinking the per-flip working set ~2.5x and doubling the SIMD
-// lane count of the span kernels. Both backends execute the identical
-// update sequence — same count values, same touch order, same AgentSet
-// mutation history — so trajectories are bitwise identical; the
-// differential suites drive both against the same frozen golden hashes.
+// Storage: one *bit* per site (lattice/bitfield.h) with int16 counts, so
+// neighbourhoods are capped at kMaxNeighborhoodSize (membership.h) sites.
+// Torus and graph mode share it; the torus is an n x n bit field, graph
+// nodes one flat row.
 //
 // Trajectory compatibility: sites are visited in the legacy stencil
 // order and set mutations are applied in ascending set index, which
@@ -30,24 +26,26 @@
 // counts, codes, sub-sets), which is what lets the parallel sweep engine
 // (core/parallel_dynamics.h) run interior flips of distinct shards
 // concurrently without locks. With the default trivial layout the engine
-// is bit-for-bit the serial engine of PR 2. Under the packed backend,
-// two shards can share a 64-bit spin word when a checkerboard layout
-// cuts columns off 64-bit alignment; the engine detects that at
-// construction and routes those flips through atomic fetch-xor.
+// is bit-for-bit the serial engine. Two shards can share a 64-bit spin
+// word when a checkerboard layout cuts columns off 64-bit alignment; the
+// engine detects that at construction and routes those flips through
+// atomic fetch-xor.
 //
 // Graph mode: the second constructor takes a GraphTopology (graph/) in
 // place of the torus geometry. Neighborhood iteration becomes a CSR row
 // walk, shard ownership/boundaries come from a GraphPartition instead of
 // a ShardLayout, and — because neighborhood sizes vary per node — the
 // single MembershipTable becomes one table per neighborhood-size class,
-// built from a code functor (N, plus, count) -> code. Graph mode always
-// uses the byte backend and skips the span/break machinery; a flip walks
-// row(id) and touch-updates each entry, which on a torus-built graph is
-// the exact legacy touch order, so torus-as-graph trajectories are
-// bitwise identical to the native span engine (the graph differential
-// suite pins all golden hashes). Everything downstream — agent sets,
-// observers, the parallel sweep engine — works unchanged because flips
-// at partition-interior nodes still write only their own part's storage.
+// built from a code functor (N, plus, count) -> code. Graph mode skips
+// the span/break machinery; a flip walks row(id) and touch-updates each
+// entry, which on a torus-built graph is the exact legacy touch order, so
+// torus-as-graph trajectories are bitwise identical to the native span
+// engine (the graph differential suite pins all golden hashes). When
+// partition parts interleave within a 64-node word, flips go through the
+// same atomic fetch-xor as checkerboard layouts. Everything downstream —
+// agent sets, observers, the parallel sweep engine — works unchanged
+// because flips at partition-interior nodes still write only their own
+// part's storage.
 #pragma once
 
 #include <cstdint>
@@ -55,11 +53,11 @@
 #include <memory>
 #include <vector>
 
-// The packed backend's flip kernel has an AVX-512BW specialization (one
-// masked zmm read-modify-write per window row, vpcmpw break detection
-// straight into a k-mask), selected at runtime via cpuid so the binary
-// stays portable. SEG_NO_POPCNT (the portable-build knob) disables every
-// CPU-specific fast path, this one included.
+// The flip kernel has an AVX-512BW specialization (one masked zmm
+// read-modify-write per window row, vpcmpw break detection straight into
+// a k-mask), selected at runtime via cpuid so the binary stays portable.
+// SEG_NO_POPCNT (the portable-build knob) disables every CPU-specific
+// fast path, this one included.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(SEG_NO_POPCNT)
 #define SEG_ENGINE_AVX512 1
 #endif
@@ -71,7 +69,7 @@
 #include "lattice/bitfield.h"
 #include "lattice/membership.h"
 #include "lattice/sharded.h"
-#include "lattice/storage.h"
+#include "lattice/storage.h"  // resolve_storage(), for perfbench only
 #include "lattice/window.h"
 #include "obs/telemetry.h"
 #include "util/seg_assert.h"
@@ -108,24 +106,22 @@ class BinarySpinEngine {
   // `offsets` is the full stencil including (0,0). When `dense_window` is
   // true the stencil must be the full (2w+1)^2 Moore window and flips take
   // the span fast path; otherwise (e.g. von Neumann) flips walk the
-  // offsets with wrapped indexing. Spins must be +1/-1, size n*n.
+  // offsets with wrapped indexing. Spins must be +1/-1, size n*n, and the
+  // stencil at most kMaxNeighborhoodSize sites (refused otherwise).
   // `layout` must be trivial or partition the same torus with margin w.
-  // `storage` picks the backend; kDefault resolves to the build default
-  // (lattice/storage.h), and windows larger than an int16 count can hold
-  // (> 32767 sites) silently fall back to the byte backend.
   BinarySpinEngine(int n, int w, bool dense_window,
                    std::vector<Point> offsets,
-                   std::vector<std::int8_t> spins, MembershipTable table,
-                   int set_count, ShardLayout layout = ShardLayout(),
-                   EngineStorage storage = EngineStorage::kDefault);
+                   const std::vector<std::int8_t>& spins,
+                   MembershipTable table, int set_count,
+                   ShardLayout layout = ShardLayout());
 
   // Graph mode: spins live on `graph`'s nodes (size node_count()), and
   // `code_of` defines the membership rule per neighborhood-size class.
   // `partition` plays the ShardLayout role (default: trivial, serial).
-  // Always byte storage: the span/popcount machinery is torus-specific,
-  // and graph nodes have no row structure for the SIMD kernels to use.
+  // Every neighbourhood must fit kMaxNeighborhoodSize (refused otherwise).
   BinarySpinEngine(std::shared_ptr<const GraphTopology> graph,
-                   std::vector<std::int8_t> spins, const GraphCodeFn& code_of,
+                   const std::vector<std::int8_t>& spins,
+                   const GraphCodeFn& code_of,
                    int set_count, GraphPartition partition = GraphPartition());
 
   int side() const { return geometry_.side(); }
@@ -152,32 +148,17 @@ class BinarySpinEngine {
     return graph_ ? partition_.boundary(id) : layout_.boundary(id);
   }
 
-  EngineStorage storage() const { return storage_; }
-  bool packed() const { return storage_ == EngineStorage::kPacked; }
-
   std::int8_t spin(std::uint32_t id) const {
-    return packed() ? bits_.spin(id) : spins_[id];
+    return graph_ ? bits_.flat_spin(id) : bits_.spin(id);
   }
-  // Snapshot of the spin field as one byte per site. The pre-packed raw
-  // reference accessor (`const std::vector<int8_t>& spins()`) is gone:
-  // the packed backend has no byte array to reference, so every consumer
-  // goes through spin(id), the snapshot, or the packed accessors below.
-  std::vector<std::int8_t> spins_snapshot() const;
-  // The packed backend's live bit array (valid while the engine lives).
-  // Only meaningful when packed(); byte-backend callers wanting bits use
-  // packed_spins().
-  const BitField& bits() const {
-    SEG_ASSERT(packed(), "bits() called on a byte-storage engine");
-    return bits_;
-  }
-  // One-bit-per-site copy of the field under either backend.
-  BitField packed_spins() const;
-  // Number of +1 sites (a whole-field popcount under the packed backend).
-  std::int64_t plus_total() const;
+  // Snapshot of the spin field as one byte per site.
+  std::vector<std::int8_t> spins_snapshot() const { return bits_.unpack(); }
+  // Copy of the live bit field: n x n on the torus, 1 x nodes on a graph.
+  BitField packed_spins() const { return bits_; }
+  // Number of +1 sites (a whole-field popcount).
+  std::int64_t plus_total() const { return bits_.count_all(); }
 
-  std::int32_t plus_count(std::uint32_t id) const {
-    return packed() ? plus_count16_[id] : plus_count_[id];
-  }
+  std::int32_t plus_count(std::uint32_t id) const { return plus_count_[id]; }
   std::uint8_t code(std::uint32_t id) const { return status_[id]; }
   const std::vector<std::uint8_t>& codes() const { return status_; }
   const std::vector<Point>& offsets() const { return offsets_; }
@@ -207,7 +188,7 @@ class BinarySpinEngine {
     return total;
   }
 
-  // Negates spins_[id] and restores counts, codes, and set memberships,
+  // Negates spin(id) and restores counts, codes, and set memberships,
   // then notifies the attached observer (if any).
   void flip(std::uint32_t id) {
     // Safe under concurrent phase-A flips: the counter add lands in the
@@ -239,38 +220,28 @@ class BinarySpinEngine {
   // dispatches a 4-compare kernel when the union fits in 4.
   static constexpr int kMaxBreaks = 8;
 
-  void init_counts();
+  void init_counts(const std::vector<std::int8_t>& spins);
   void init_codes();
   void init_breaks();
-  void init_graph(const GraphCodeFn& code_of);
+  void init_graph(const GraphCodeFn& code_of,
+                  const std::vector<std::int8_t>& spins);
   void flip_impl(std::uint32_t id);
   void flip_graph(std::uint32_t id);
 
-  // The dense span fast path, instantiated per (count type, compare
-  // width): int32/int16 for the byte/packed backends, 4 or 8 break
-  // compares depending on how many boundaries the model actually has.
-  template <typename CountT, int NB>
-  void flip_dense_sparse(std::uint32_t id, std::int32_t delta,
-                         CountT* counts);
+  // The dense span fast path, instantiated per compare width: 4 or 8
+  // break compares depending on how many boundaries the model has.
+  template <int NB>
+  void flip_dense_sparse(std::uint32_t id, std::int32_t delta);
 
 #if SEG_ENGINE_AVX512
-  // Packed-backend specialization of the dense fast path: one masked zmm
-  // RMW per window row segment (32 int16 lanes), break hits read directly
+  // AVX-512BW specialization of the dense fast path: one masked zmm RMW
+  // per window row segment (32 int16 lanes), break hits read directly
   // off vpcmpw k-masks — no second rescan pass. Touch order is identical
   // to flip_dense_sparse (legacy stencil order), so trajectories stay
   // bitwise identical; test_bitfield pins this differentially.
-  __attribute__((target("avx512f,avx512bw"))) void flip_packed_avx512(
+  __attribute__((target("avx512f,avx512bw"))) void flip_avx512(
       std::uint32_t id, std::int32_t delta);
 #endif
-
-  // Count bump for the cold paths (dense fallback, generic stencil).
-  std::int32_t bump_count(std::uint32_t id, std::int32_t delta) {
-    if (packed()) {
-      return plus_count16_[id] =
-                 static_cast<std::int16_t>(plus_count16_[id] + delta);
-    }
-    return plus_count_[id] += delta;
-  }
 
   // Owning shard of a site under whichever sharding scheme is active.
   int site_shard(std::uint32_t id) const {
@@ -278,7 +249,12 @@ class BinarySpinEngine {
     return graph_ ? partition_.part_of(id) : layout_.shard_of(id);
   }
 
-  void apply_code(std::uint32_t id, std::uint8_t have, std::uint8_t want) {
+  // Moves id to the set memberships of code `want` (nothing to do when
+  // the code is unchanged).
+  void apply_code(std::uint32_t id, std::uint8_t want) {
+    const std::uint8_t have = status_[id];
+    if (want == have) return;
+    status_[id] = want;
     // One branch on the trivial case keeps the serial hot path free of
     // the per-row shard lookup.
     const int shard = site_shard(id);
@@ -307,13 +283,8 @@ class BinarySpinEngine {
                "site " << id << " count " << new_count
                        << " escaped [0, " << window_size()
                        << "] after a window update");
-    const std::uint8_t want =
-        table_.data()[table_.spin_offset(spin(id)) + new_count];
-    const std::uint8_t have = status_[id];
-    if (want != have) {
-      apply_code(id, have, want);
-      status_[id] = want;
-    }
+    apply_code(id,
+               table_.data()[table_.spin_offset(bits_.spin(id)) + new_count]);
   }
 
   // Graph-mode twin of touch(): same contract, but the code lookup goes
@@ -323,13 +294,8 @@ class BinarySpinEngine {
                "node " << id << " count " << new_count << " escaped [0, "
                        << neighborhood_size(id) << "] after a flip");
     const MembershipTable& table = class_tables_[table_of_[id]];
-    const std::uint8_t want =
-        table.data()[table.spin_offset(spins_[id]) + new_count];
-    const std::uint8_t have = status_[id];
-    if (want != have) {
-      apply_code(id, have, want);
-      status_[id] = want;
-    }
+    apply_code(id, table.data()[table.spin_offset(bits_.flat_spin(id)) +
+                                new_count]);
   }
 
   WindowGeometry geometry_;
@@ -337,13 +303,13 @@ class BinarySpinEngine {
   int shard_count_;
   bool dense_window_;
   bool sparse_crossings_;
-  EngineStorage storage_ = EngineStorage::kByte;
-  // Packed backend only: route bit flips through atomic fetch-xor because
-  // some 64-bit word straddles a shard boundary (checkerboard column cuts
-  // off 64-alignment) and phase-A flips may hit it concurrently.
+  // Route bit flips through atomic fetch-xor because some 64-bit word
+  // holds sites of two shards (a checkerboard column cut off
+  // 64-alignment, or graph parts interleaved within 64 node ids) and
+  // phase-A flips may hit it concurrently.
   bool atomic_bits_ = false;
-  // Packed + dense + sparse-crossings + cpuid(avx512bw): flips route to
-  // flip_packed_avx512.
+  // Dense + sparse-crossings + cpuid(avx512bw): flips route to
+  // flip_avx512.
   bool simd_kernel_ = false;
   int break_count_ = 0;
   // Counts c where code(c) != code(c - 1) for either spin sign, padded
@@ -352,10 +318,8 @@ class BinarySpinEngine {
   int set_count_;
   std::vector<Point> offsets_;
   MembershipTable table_;
-  std::vector<std::int8_t> spins_;        // byte backend (empty if packed)
-  BitField bits_;                         // packed backend
-  std::vector<std::int32_t> plus_count_;  // byte backend counts
-  std::vector<std::int16_t> plus_count16_;  // packed backend counts
+  BitField bits_;
+  std::vector<std::int16_t> plus_count_;
   std::vector<std::uint8_t> status_;
   std::vector<AgentSet> sets_;
   FlipObserver* observer_ = nullptr;

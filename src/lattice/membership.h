@@ -11,9 +11,24 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace seg {
+
+// The largest neighbourhood (self included) an engine accepts: window
+// counts are int16. Moore windows reach it at w = 90 (181^2 = 32761
+// sites); parameter, spec and edge-list validation refuse anything larger.
+inline constexpr int kMaxNeighborhoodSize = 32767;
+
+// The refusal text for a neighbourhood over the limit, e.g.
+// "node 7 has a 40001-site neighbourhood, over the 32767-site limit".
+inline std::string over_neighborhood_limit(const std::string& who,
+                                           std::int64_t sites) {
+  return who + " has a " + std::to_string(sites) +
+         "-site neighbourhood, over the " +
+         std::to_string(kMaxNeighborhoodSize) + "-site limit";
+}
 
 class MembershipTable {
  public:

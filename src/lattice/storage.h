@@ -1,45 +1,17 @@
-// Storage-backend selection for BinarySpinEngine.
-//
-// Two backends share one engine: `kByte` keeps the PR 2 layout (one
-// int8 spin per site, int32 window counts) and is the bitwise reference
-// implementation; `kPacked` stores one *bit* per site (lattice/bitfield.h)
-// with int16 window counts, cutting the hot working set ~5x and letting
-// the span kernels vectorize twice as wide. Both backends run the exact
-// same update sequence — same count values, same touch order, same
-// AgentSet mutation history — so trajectories are bitwise identical and
-// the differential suite can drive either one against the frozen golden
-// hashes in a single binary.
-//
-// `kDefault` resolves at compile time: packed unless the build sets
-// SEG_BYTE_STORAGE_DEFAULT (CMake -DSEG_PACKED_DEFAULT=OFF), so the whole
-// existing test battery exercises whichever backend the build defaults
-// to, and explicit kByte/kPacked pin a backend regardless of the build.
+// Kept only for perfbench/replica_bench.cc, which reports whether the
+// default engine storage is packed. BinarySpinEngine has one storage (one
+// bit per site, int16 counts; see lattice/engine.h), so the enum has one
+// value under both names that caller uses.
 #pragma once
 
 #include <cstdint>
 
 namespace seg {
 
-enum class EngineStorage : std::uint8_t { kDefault = 0, kByte = 1, kPacked = 2 };
+enum class EngineStorage : std::uint8_t { kPacked = 0, kDefault = kPacked };
 
 inline EngineStorage resolve_storage(EngineStorage storage) {
-  if (storage != EngineStorage::kDefault) return storage;
-#if defined(SEG_BYTE_STORAGE_DEFAULT)
-  return EngineStorage::kByte;
-#else
-  return EngineStorage::kPacked;
-#endif
-}
-
-inline const char* storage_name(EngineStorage storage) {
-  switch (storage) {
-    case EngineStorage::kByte:
-      return "byte";
-    case EngineStorage::kPacked:
-      return "packed";
-    default:
-      return "default";
-  }
+  return storage;
 }
 
 }  // namespace seg

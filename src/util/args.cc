@@ -1,5 +1,8 @@
 #include "util/args.h"
 
+#include <algorithm>
+#include <cstdio>
+
 #include "util/parse.h"
 
 namespace seg {
@@ -87,6 +90,25 @@ double ArgParser::get_double(const std::string& key, double def) const {
 
 bool ArgParser::get_bool(const std::string& key, bool def) const {
   return get_checked(key, def, parse_bool);
+}
+
+bool ArgParser::check_usage(const std::vector<std::string>& known) const {
+  bool ok = true;
+  const auto report = [&ok](const std::string& problem) {
+    std::fprintf(stderr, "%s\n", problem.c_str());
+    ok = false;
+  };
+  for (const std::string& arg : positional_) {
+    report("unexpected argument '" + arg + "' (see --help)");
+  }
+  for (const auto& [flag, value] : values_) {
+    if (std::find(known.begin(), known.end(), flag) == known.end()) {
+      report("unknown flag --" + flag + " (did you mean --" +
+             nearest_name(flag, known) + "?)");
+    }
+  }
+  for (const std::string& e : errors_) report(e);
+  return ok;
 }
 
 }  // namespace seg

@@ -33,9 +33,11 @@ class ArgParser {
   // typed getters above, in call order.
   const std::vector<std::string>& errors() const { return errors_; }
 
-  // Every `--key` seen (without the dashes) and its raw value, for
-  // callers that dispatch on or reject flags they do not know.
-  const std::map<std::string, std::string>& flags() const { return values_; }
+  // The end-of-parsing check every CLI runs after its last getter: prints
+  // each stray positional argument, each flag not in `known` (naming the
+  // nearest known flag) and each errors() line to stderr, one per line.
+  // False if there was anything to print; callers then exit 1.
+  bool check_usage(const std::vector<std::string>& known) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program_name() const { return program_; }

@@ -1,5 +1,8 @@
 #include "util/args.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace seg {
@@ -59,6 +62,34 @@ TEST(ArgParser, MalformedBoolRecordsError) {
   ASSERT_EQ(p.errors().size(), 1u);
   EXPECT_NE(p.errors()[0].find("--resume"), std::string::npos);
   EXPECT_NE(p.errors()[0].find("'maybe'"), std::string::npos);
+}
+
+TEST(ArgParser, CheckUsageRejectsUnknownFlagsStrayArgsAndBadValues) {
+  const std::vector<std::string> known = {"n", "w", "tau", "seed"};
+  {
+    const auto p = make({"--n", "64", "--tau=0.4"});
+    p.get_int("n");
+    p.get_double("tau");
+    testing::internal::CaptureStderr();
+    EXPECT_TRUE(p.check_usage(known));
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  }
+  {
+    // A typo names the nearest known flag; a stray argument and a
+    // malformed value are each reported on their own line.
+    const auto p = make({"--nn", "5", "stray", "--seed=10x"});
+    p.get_int("seed", 1);
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(p.check_usage(known));
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("unknown flag --nn (did you mean --n?)"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("unexpected argument 'stray'"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("--seed: not an integer: '10x'"), std::string::npos)
+        << err;
+  }
 }
 
 TEST(ArgParser, PositionalCollected) {

@@ -1,18 +1,20 @@
 // The bit-packed storage battery.
 //
-// Layer 1 pins BitField itself: pack/unpack roundtrips, masked-popcount
-// row counts against a scalar reference at every alignment (word-multiple
-// and ragged sides), and the wrapped window popcount at every center.
+// Layer 1 pins BitField itself: pack/unpack roundtrips (square, rows x
+// cols, and the flat one-row graph layout), masked-popcount row counts
+// against a scalar reference at every alignment (word-multiple and ragged
+// sides), and the wrapped window popcount at every center.
 // Layer 2 pins PackedHaloField against the byte HaloField it replaces.
-// Layer 3 is the backend differential: every model policy (Glauber,
-// discrete, synchronous, comfort, Kawasaki) must reproduce the *frozen
-// golden trajectory hashes* under BOTH EngineStorage backends — the
-// packed engine is not "close to" the byte engine, it is bit-for-bit the
-// same dynamical system. Layer 4 drives sharded engines (4-stripe and
-// checkerboard layouts, the latter exercising the atomic shared-word bit
-// flips) through identical arbitrary flip sequences on both backends and
-// a packed mutation fuzz with full recount audits.
+// Layer 3 is the golden differential: every model policy (Glauber,
+// discrete, synchronous, comfort, Kawasaki, asymmetric von Neumann) must
+// reproduce the *frozen golden trajectory hashes* captured from the
+// pre-packing byte engine — the packed engine is not "close to" it, it is
+// bit-for-bit the same dynamical system. Layer 4 drives sharded engines
+// (4-stripe and checkerboard layouts, the latter exercising the atomic
+// shared-word bit flips) through the same arbitrary flip sequence as a
+// trivial-layout engine, and a mutation fuzz with full recount audits.
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -65,6 +67,40 @@ TEST(BitField, PackUnpackRoundtrip) {
     EXPECT_EQ(bits.count_all(), plus);
     for (std::uint32_t id = 0; id < spins.size(); ++id) {
       EXPECT_EQ(bits.spin(id), spins[id]) << "id " << id;
+    }
+  }
+}
+
+TEST(BitField, RectangularAndFlatLayouts) {
+  // 3 x 70 exercises a non-square padded layout; 1 x 200 is the graph
+  // layout, whose flat accessors must agree with the row/column ones.
+  for (const auto [rows, cols] : {std::pair{3, 70}, std::pair{1, 200}}) {
+    Rng rng(40010 + rows);
+    std::vector<std::int8_t> spins(static_cast<std::size_t>(rows) * cols);
+    for (auto& s : spins) s = rng.bernoulli(0.5) ? 1 : -1;
+    BitField bits(spins, rows, cols);
+    EXPECT_EQ(bits.rows(), rows);
+    EXPECT_EQ(bits.cols(), cols);
+    EXPECT_EQ(bits.unpack(), spins);
+    for (std::uint32_t id = 0; id < spins.size(); ++id) {
+      ASSERT_EQ(bits.spin(id), spins[id]) << "id " << id;
+    }
+    if (rows != 1) continue;
+    for (std::uint32_t i = 0; i < spins.size(); ++i) {
+      ASSERT_EQ(bits.flat_spin(i), spins[i]) << "node " << i;
+    }
+    std::int64_t plus = bits.count_all();
+    for (int step = 0; step < 2000; ++step) {
+      const auto i = static_cast<std::uint32_t>(rng.uniform_below(cols));
+      const bool was_plus = bits.flat_test(i);
+      if (rng.bernoulli(0.5)) {
+        bits.flat_flip(i);
+      } else {
+        bits.flat_flip_atomic(i);
+      }
+      plus += was_plus ? -1 : 1;
+      ASSERT_EQ(bits.test(i), !was_plus);
+      ASSERT_EQ(bits.count_all(), plus) << "step " << step;
     }
   }
 }
@@ -158,119 +194,102 @@ TEST(PackedHaloField, MatchesByteHaloField) {
   }
 }
 
-// ---- Layer 3: backend differential against the frozen golden hashes ----
+// ---- Layer 3: the frozen golden hashes ----
 
-const EngineStorage kBothBackends[] = {EngineStorage::kByte,
-                                       EngineStorage::kPacked};
-
-TEST(PackedDifferential, GlauberReproducesGoldenOnBothBackends) {
-  for (const EngineStorage storage : kBothBackends) {
-    ModelParams p{.n = 48, .w = 3, .tau = 0.45, .p = 0.5};
-    p.storage = storage;
-    Rng init = Rng::stream(1001, 0);
-    SchellingModel m(p, init);
-    ASSERT_EQ(m.storage(), storage);
-    Rng dyn = Rng::stream(1001, 1);
-    const RunResult r = run_glauber(m, dyn);
-    std::uint64_t h = hash_bytes(m.spins().data(), m.spins().size());
-    h = mix(h, r.flips);
-    h = mix_double(h, r.final_time);
-    EXPECT_EQ(h, golden::kGlauber) << "storage " << static_cast<int>(storage);
-  }
+std::uint64_t spins_hash(const std::vector<std::int8_t>& spins) {
+  return hash_bytes(spins.data(), spins.size());
 }
 
-TEST(PackedDifferential, DiscreteReproducesGoldenOnBothBackends) {
-  for (const EngineStorage storage : kBothBackends) {
-    ModelParams p{.n = 40, .w = 2, .tau = 0.55, .p = 0.5};
-    p.storage = storage;
-    Rng init = Rng::stream(1002, 0);
-    SchellingModel m(p, init);
-    Rng dyn = Rng::stream(1002, 1);
-    RunOptions opt;
-    opt.max_flips = 3000;
-    const RunResult r = run_discrete(m, dyn, opt);
-    std::uint64_t h = hash_bytes(m.spins().data(), m.spins().size());
-    h = mix(h, r.flips);
-    h = mix_double(h, r.final_time);
-    EXPECT_EQ(h, golden::kDiscrete) << "storage " << static_cast<int>(storage);
-  }
+TEST(PackedDifferential, GlauberReproducesGolden) {
+  ModelParams p{.n = 48, .w = 3, .tau = 0.45, .p = 0.5};
+  Rng init = Rng::stream(1001, 0);
+  SchellingModel m(p, init);
+  Rng dyn = Rng::stream(1001, 1);
+  const RunResult r = run_glauber(m, dyn);
+  std::uint64_t h = spins_hash(m.spins());
+  h = mix(h, r.flips);
+  h = mix_double(h, r.final_time);
+  EXPECT_EQ(h, golden::kGlauber);
 }
 
-TEST(PackedDifferential, SynchronousReproducesGoldenOnBothBackends) {
-  for (const EngineStorage storage : kBothBackends) {
-    ModelParams p{.n = 32, .w = 2, .tau = 0.45, .p = 0.5};
-    p.storage = storage;
-    Rng init = Rng::stream(1004, 0);
-    SchellingModel m(p, init);
-    const RunResult r = run_synchronous(m, 64);
-    std::uint64_t h = hash_bytes(m.spins().data(), m.spins().size());
-    h = mix(h, r.flips);
-    h = mix(h, r.rounds);
-    h = mix(h, r.cycle_detected ? 1 : 0);
-    EXPECT_EQ(h, golden::kSynchronous)
-        << "storage " << static_cast<int>(storage);
-  }
+TEST(PackedDifferential, DiscreteReproducesGolden) {
+  ModelParams p{.n = 40, .w = 2, .tau = 0.55, .p = 0.5};
+  Rng init = Rng::stream(1002, 0);
+  SchellingModel m(p, init);
+  Rng dyn = Rng::stream(1002, 1);
+  RunOptions opt;
+  opt.max_flips = 3000;
+  const RunResult r = run_discrete(m, dyn, opt);
+  std::uint64_t h = spins_hash(m.spins());
+  h = mix(h, r.flips);
+  h = mix_double(h, r.final_time);
+  EXPECT_EQ(h, golden::kDiscrete);
 }
 
-TEST(PackedDifferential, ComfortReproducesGoldenOnBothBackends) {
-  for (const EngineStorage storage : kBothBackends) {
-    ComfortParams p{.n = 40, .w = 2, .tau_lo = 0.4, .tau_hi = 0.8, .p = 0.5};
-    p.storage = storage;
-    Rng init = Rng::stream(1005, 0);
-    ComfortModel m(p, init);
-    Rng dyn = Rng::stream(1005, 1);
-    const ComfortRunResult r = run_comfort(m, dyn, 5000);
-    std::uint64_t h = hash_bytes(m.spins().data(), m.spins().size());
-    h = mix(h, r.flips);
-    h = mix_double(h, r.final_time);
-    EXPECT_EQ(h, golden::kComfort) << "storage " << static_cast<int>(storage);
-  }
+TEST(PackedDifferential, SynchronousReproducesGolden) {
+  ModelParams p{.n = 32, .w = 2, .tau = 0.45, .p = 0.5};
+  Rng init = Rng::stream(1004, 0);
+  SchellingModel m(p, init);
+  const RunResult r = run_synchronous(m, 64);
+  std::uint64_t h = spins_hash(m.spins());
+  h = mix(h, r.flips);
+  h = mix(h, r.rounds);
+  h = mix(h, r.cycle_detected ? 1 : 0);
+  EXPECT_EQ(h, golden::kSynchronous);
 }
 
-TEST(PackedDifferential, KawasakiReproducesGoldenOnBothBackends) {
-  for (const EngineStorage storage : kBothBackends) {
-    ModelParams p{.n = 32, .w = 2, .tau = 0.4, .p = 0.5};
-    p.storage = storage;
-    Rng init = Rng::stream(1007, 0);
-    SchellingModel m(p, init);
-    Rng dyn = Rng::stream(1007, 1);
-    KawasakiOptions opt;
-    opt.max_swaps = 1500;
-    const KawasakiResult r = run_kawasaki(m, dyn, opt);
-    std::uint64_t h = hash_bytes(m.spins().data(), m.spins().size());
-    h = mix(h, r.swaps);
-    h = mix(h, r.proposals);
-    EXPECT_EQ(h, golden::kKawasaki) << "storage " << static_cast<int>(storage);
-  }
+TEST(PackedDifferential, ComfortReproducesGolden) {
+  ComfortParams p{.n = 40, .w = 2, .tau_lo = 0.4, .tau_hi = 0.8, .p = 0.5};
+  Rng init = Rng::stream(1005, 0);
+  ComfortModel m(p, init);
+  Rng dyn = Rng::stream(1005, 1);
+  const ComfortRunResult r = run_comfort(m, dyn, 5000);
+  std::uint64_t h = spins_hash(m.spins());
+  h = mix(h, r.flips);
+  h = mix_double(h, r.final_time);
+  EXPECT_EQ(h, golden::kComfort);
 }
 
-// The sparse von Neumann stencil takes the generic (non-span) flip path;
-// the packed backend must agree there too, asymmetric thresholds included.
-TEST(PackedDifferential, AsymVonNeumannReproducesGoldenOnBothBackends) {
-  for (const EngineStorage storage : kBothBackends) {
-    ModelParams p{.n = 40, .w = 3, .tau = 0.4, .p = 0.5, .tau_minus = 0.55,
-                  .shape = NeighborhoodShape::kVonNeumann};
-    p.storage = storage;
-    Rng init = Rng::stream(1003, 0);
-    SchellingModel m(p, init);
-    Rng dyn = Rng::stream(1003, 1);
-    RunOptions opt;
-    opt.max_flips = 4000;
-    const RunResult r = run_glauber(m, dyn, opt);
-    std::uint64_t h = hash_bytes(m.spins().data(), m.spins().size());
-    h = mix(h, r.flips);
-    h = mix_double(h, r.final_time);
-    EXPECT_EQ(h, golden::kAsymVonNeumann)
-        << "storage " << static_cast<int>(storage);
-  }
+TEST(PackedDifferential, KawasakiReproducesGolden) {
+  ModelParams p{.n = 32, .w = 2, .tau = 0.4, .p = 0.5};
+  Rng init = Rng::stream(1007, 0);
+  SchellingModel m(p, init);
+  Rng dyn = Rng::stream(1007, 1);
+  KawasakiOptions opt;
+  opt.max_swaps = 1500;
+  const KawasakiResult r = run_kawasaki(m, dyn, opt);
+  std::uint64_t h = spins_hash(m.spins());
+  h = mix(h, r.swaps);
+  h = mix(h, r.proposals);
+  EXPECT_EQ(h, golden::kKawasaki);
 }
 
-// ---- Layer 4: sharded layouts and packed mutation fuzz ----
+// The sparse von Neumann stencil takes the generic (non-span) flip path,
+// asymmetric thresholds included.
+TEST(PackedDifferential, AsymVonNeumannReproducesGolden) {
+  ModelParams p{.n = 40, .w = 3, .tau = 0.4, .p = 0.5, .tau_minus = 0.55,
+                .shape = NeighborhoodShape::kVonNeumann};
+  Rng init = Rng::stream(1003, 0);
+  SchellingModel m(p, init);
+  Rng dyn = Rng::stream(1003, 1);
+  RunOptions opt;
+  opt.max_flips = 4000;
+  const RunResult r = run_glauber(m, dyn, opt);
+  std::uint64_t h = spins_hash(m.spins());
+  h = mix(h, r.flips);
+  h = mix_double(h, r.final_time);
+  EXPECT_EQ(h, golden::kAsymVonNeumann);
+}
 
-TEST(PackedDifferential, ShardedLayoutsMatchByteBackendFlipForFlip) {
+// ---- Layer 4: sharded layouts and mutation fuzz ----
+
+TEST(PackedDifferential, ShardedLayoutsMatchTrivialLayoutFlipForFlip) {
   // n = 36 with a 3x3 checkerboard cuts columns at 12/24 — off 64-bit
-  // alignment, so shards share spin words and the packed engine routes
-  // those flips through the atomic fetch-xor path.
+  // alignment, so shards share spin words and the engine routes those
+  // flips through the atomic fetch-xor path. After every flip the sharded
+  // engine must hold the trivial-layout engine's spin, count and code at
+  // the flipped site, and its per-shard sets must partition the serial
+  // ones.
   ModelParams params{.n = 36, .w = 2, .tau = 0.45, .p = 0.5};
   for (const bool checkers : {false, true}) {
     const ShardLayout layout =
@@ -278,45 +297,47 @@ TEST(PackedDifferential, ShardedLayoutsMatchByteBackendFlipForFlip) {
                  : ShardLayout::stripes(params.n, params.w, 4);
     Rng spin_rng(41001);
     const auto spins = random_spins(params.n, 0.5, spin_rng);
-    ModelParams bp = params;
-    bp.storage = EngineStorage::kByte;
-    SchellingModel byte_model(bp, spins, layout);
-    ModelParams pp = params;
-    pp.storage = EngineStorage::kPacked;
-    SchellingModel packed_model(pp, spins, layout);
+    SchellingModel serial(params, spins);
+    SchellingModel sharded(params, spins, layout);
+    ASSERT_EQ(sharded.shard_count(), checkers ? 9 : 4);
     Rng rng(41002 + checkers);
     for (int step = 0; step < 6000; ++step) {
       const auto id = static_cast<std::uint32_t>(
-          rng.uniform_below(byte_model.agent_count()));
-      byte_model.flip(id);
-      packed_model.flip(id);
+          rng.uniform_below(serial.agent_count()));
+      serial.flip(id);
+      sharded.flip(id);
+      ASSERT_EQ(sharded.spin(id), serial.spin(id)) << "step " << step;
+      ASSERT_EQ(sharded.plus_count(id), serial.plus_count(id))
+          << "step " << step;
     }
-    ASSERT_TRUE(packed_model.check_invariants());
-    EXPECT_EQ(packed_model.spins(), byte_model.spins());
-    EXPECT_EQ(packed_model.count_unhappy(), byte_model.count_unhappy());
-    for (int s = 0; s < packed_model.shard_count(); ++s) {
-      EXPECT_EQ(packed_model.unhappy_set(s).size(),
-                byte_model.unhappy_set(s).size())
-          << "shard " << s;
+    ASSERT_TRUE(sharded.check_invariants());
+    ASSERT_TRUE(serial.check_invariants());
+    EXPECT_EQ(sharded.spins(), serial.spins());
+    EXPECT_EQ(sharded.count_unhappy(), serial.count_unhappy());
+    std::size_t unhappy = 0;
+    for (int s = 0; s < sharded.shard_count(); ++s) {
+      unhappy += sharded.unhappy_set(s).size();
+    }
+    EXPECT_EQ(unhappy, serial.unhappy_set().size());
+    for (std::uint32_t id = 0; id < serial.agent_count(); ++id) {
+      ASSERT_EQ(sharded.plus_count(id), serial.plus_count(id)) << id;
+      ASSERT_EQ(sharded.in_unhappy_set(id), serial.in_unhappy_set(id)) << id;
     }
   }
 }
 
 TEST(PackedFuzz, ArbitraryFlipsKeepPackedInvariants) {
-  // Arbitrary-site mutation fuzz pinned to the packed backend (the
-  // invariant-fuzz suite runs whatever the build default resolves to;
-  // this one must exercise the bit path even under SEG_PACKED_DEFAULT=OFF
-  // builds). w = 10 on n = 24 wraps every window past the seam.
+  // Arbitrary-site mutation fuzz with full recount audits. w = 10 on
+  // n = 24 wraps every window past the seam.
   struct Config {
     ModelParams params;
     std::uint64_t seed;
   };
-  Config configs[] = {
+  const Config configs[] = {
       {{.n = 32, .w = 2, .tau = 0.45, .p = 0.5}, 42001},
       {{.n = 24, .w = 10, .tau = 0.55, .p = 0.4}, 42002},
   };
-  for (Config& config : configs) {
-    config.params.storage = EngineStorage::kPacked;
+  for (const Config& config : configs) {
     Rng rng(config.seed);
     SchellingModel model(config.params, rng);
     ASSERT_TRUE(model.check_invariants());

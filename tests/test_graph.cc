@@ -3,6 +3,11 @@
 //  * builder invariants — torus rows in stencil order, lollipop degree
 //    spectrum, random-regular degree exactness, small-world edge
 //    conservation, edge-list round-trips and malformed-input refusal;
+//  * seeded mutation fuzz of the edge-list loader (byte flips,
+//    truncations, dropped lines, duplicate and self edges, a hub over
+//    the neighbourhood limit) against a reference reading of each
+//    mutant: every rejection names its line or node, and every accepted
+//    graph is exactly the one the mutant describes;
 //  * greedy-BFS partition coverage/balance and the boundary definition;
 //  * randomized flip fuzz over all three synthetic families: engine
 //    invariant audit, degree conservation, magnetization bookkeeping;
@@ -11,11 +16,16 @@
 //  * ArgParser malformed-value recording;
 //  * checkpoint torn-write refusal (truncations must never load);
 //  * ScenarioSpec topology keys: round-trip, default-text stability
-//    (hash compatibility), graph-parameter validation.
+//    (hash compatibility), graph-parameter validation, and refusal of
+//    neighbourhoods over the engine's int16 count limit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <random>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,6 +35,7 @@
 #include "graph/partition.h"
 #include "graph/topology.h"
 #include "grid/point.h"
+#include "lattice/membership.h"
 #include "rng/rng.h"
 #include "util/args.h"
 #include "util/parse.h"
@@ -159,6 +170,257 @@ TEST(GraphTopologyTest, EdgeListRefusesMalformedInput) {
   std::remove(path.c_str());
   EXPECT_FALSE(GraphTopology::load_edge_list(
       ::testing::TempDir() + "seg_no_such_file.txt", &g, &error));
+}
+
+// ---- edge-list fuzz ------------------------------------------------------------
+
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary) << text;
+}
+
+// A star: node 0 joined to nodes 1..leaves.
+std::string star_text(int leaves) {
+  std::string text;
+  for (int v = 1; v <= leaves; ++v) text += "0 " + std::to_string(v) + "\n";
+  return text;
+}
+
+// What load_edge_list must do with `text`, read independently: the first
+// non-blank line that is not two unsigned 32-bit ids is refused by number;
+// otherwise no edges is refused, a neighbourhood over the limit is refused
+// by node, and anything else loads as from_edges of the listed edges.
+struct EdgeListVerdict {
+  int bad_line = 0;        // 1-based; 0 = every line reads
+  bool no_edges = false;
+  long long hub = -1;      // first node over the limit, or -1
+  GraphTopology graph;     // valid when accepted
+};
+
+bool read_id(const std::string& token, std::uint32_t* out) {
+  std::size_t i = token[0] == '+' ? 1 : 0;
+  if (i == token.size()) return false;
+  unsigned long long value = 0;
+  for (; i < token.size(); ++i) {
+    if (token[i] < '0' || token[i] > '9') return false;
+    value = value * 10 + static_cast<unsigned>(token[i] - '0');
+    if (value > 0xffffffffull) return false;
+  }
+  *out = static_cast<std::uint32_t>(value);
+  return true;
+}
+
+EdgeListVerdict reference_verdict(const std::string& text) {
+  EdgeListVerdict verdict;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  std::uint32_t max_node = 0;
+  std::istringstream in(text);
+  std::string line;
+  for (int line_no = 1; std::getline(in, line); ++line_no) {
+    line = line.substr(0, line.find('#'));
+    std::vector<std::string> tokens;
+    std::string token;
+    for (const char c : line) {
+      if (c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f') {
+        if (!token.empty()) tokens.push_back(token);
+        token.clear();
+      } else {
+        token += c;
+      }
+    }
+    if (!token.empty()) tokens.push_back(token);
+    if (tokens.empty()) continue;
+    std::uint32_t a = 0;
+    std::uint32_t b = 0;
+    if (tokens.size() != 2 || !read_id(tokens[0], &a) ||
+        !read_id(tokens[1], &b)) {
+      verdict.bad_line = line_no;
+      return verdict;
+    }
+    edges.emplace_back(a, b);
+    max_node = std::max({max_node, a, b});
+  }
+  if (edges.empty()) {
+    verdict.no_edges = true;
+    return verdict;
+  }
+  verdict.graph =
+      GraphTopology::from_edges(static_cast<std::size_t>(max_node) + 1, edges);
+  for (std::uint32_t v = 0; v < verdict.graph.node_count(); ++v) {
+    if (verdict.graph.neighborhood_size(v) > kMaxNeighborhoodSize) {
+      verdict.hub = v;
+      break;
+    }
+  }
+  return verdict;
+}
+
+bool same_graph(const GraphTopology& a, const GraphTopology& b) {
+  if (a.node_count() != b.node_count()) return false;
+  for (std::uint32_t v = 0; v < a.node_count(); ++v) {
+    const auto [ra, la] = a.row(v);
+    const auto [rb, lb] = b.row(v);
+    if (la != lb || !std::equal(ra, ra + la, rb)) return false;
+  }
+  return true;
+}
+
+class EdgeListMutator {
+ public:
+  explicit EdgeListMutator(std::uint64_t seed) : rng_(seed) {}
+
+  std::size_t below(std::size_t n) { return n == 0 ? 0 : rng_() % n; }
+
+  std::string mutate(std::string text) {
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    switch (below(5)) {
+      case 0: {  // byte flips, biased toward bytes that stay readable
+        static const std::string kAlphabet = "0123456789 \t\n\r#+-x";
+        for (std::size_t i = 0, n = 1 + below(3); i < n && !text.empty();
+             ++i) {
+          text[below(text.size())] =
+              below(4) == 0 ? static_cast<char>(below(256))
+                            : kAlphabet[below(kAlphabet.size())];
+        }
+        return text;
+      }
+      case 1:  // truncation
+        return text.substr(0, below(text.size() + 1));
+      case 2:  // a dropped line
+        if (!lines.empty()) lines.erase(lines.begin() + below(lines.size()));
+        break;
+      case 3: {  // a duplicate edge, either way round
+        std::string line = lines[below(lines.size())];
+        const std::size_t space = line.find(' ');
+        if (below(2) == 0 && space != std::string::npos) {
+          line = line.substr(space + 1) + " " + line.substr(0, space);
+        }
+        lines.insert(lines.begin() + below(lines.size() + 1), line);
+        break;
+      }
+      default: {  // a self edge on an existing node
+        const std::string& line = lines[below(lines.size())];
+        const std::string id = line.substr(0, line.find(' '));
+        lines.insert(lines.begin() + below(lines.size() + 1), id + " " + id);
+        break;
+      }
+    }
+    std::string out;
+    for (const std::string& line : lines) out += line + "\n";
+    return out;
+  }
+
+ private:
+  std::mt19937_64 rng_;
+};
+
+TEST(EdgeListFuzz, MutantsLoadExactlyOrAreRefusedByLineOrNode) {
+  std::string mesh;
+  Rng edge_rng(707070);
+  for (int i = 0; i < 60; ++i) {
+    mesh += std::to_string(edge_rng.uniform_below(30)) + "\t" +
+            std::to_string(edge_rng.uniform_below(30)) +
+            (i % 7 == 0 ? "  # road\n" : "\n");
+  }
+  struct Corpus {
+    std::string text;
+    int mutants;
+  };
+  const Corpus corpora[] = {
+      {"# a comment line\n0 1\n1 2\n2 0\n2 3\n\n3 4\n", 400},
+      {mesh, 400},
+      // One leaf over the limit: mutants that keep every leaf line are
+      // refused by the hub's id.
+      {star_text(kMaxNeighborhoodSize), 12},
+  };
+  const std::string path = ::testing::TempDir() + "seg_edges_fuzz.txt";
+  EdgeListMutator mutator(808080);
+  int accepted = 0, by_line = 0, by_node = 0, empty = 0;
+  for (const Corpus& corpus : corpora) {
+    for (int m = 0; m < corpus.mutants; ++m) {
+      const std::string text = mutator.mutate(corpus.text);
+      write_file(path, text);
+      GraphTopology g;
+      std::string error;
+      const bool ok = GraphTopology::load_edge_list(path, &g, &error);
+      const EdgeListVerdict want = reference_verdict(text);
+      if (want.bad_line > 0) {
+        ++by_line;
+        ASSERT_FALSE(ok) << text;
+        EXPECT_EQ(error.rfind(path + ":" + std::to_string(want.bad_line) +
+                                  ": ",
+                              0),
+                  0u)
+            << error;
+      } else if (want.no_edges) {
+        ++empty;
+        ASSERT_FALSE(ok) << text;
+        EXPECT_NE(error.find("has no edges"), std::string::npos) << error;
+      } else if (want.hub >= 0) {
+        ++by_node;
+        ASSERT_FALSE(ok);
+        EXPECT_NE(error.find("node " + std::to_string(want.hub) + " "),
+                  std::string::npos)
+            << error;
+      } else {
+        ++accepted;
+        ASSERT_TRUE(ok) << error << "\n" << text;
+        EXPECT_TRUE(same_graph(g, want.graph)) << text;
+        // validate() is quadratic in the hub's degree; the small corpora
+        // cover it.
+        if (g.max_neighborhood_size() < 64) {
+          EXPECT_TRUE(g.validate(&error)) << error;
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
+  // Every outcome class is exercised.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(by_line, 50);
+  EXPECT_GT(by_node, 0);
+  EXPECT_GT(empty, 0);
+}
+
+TEST(EdgeListFuzz, DuplicateAndSelfEdgesCollapse) {
+  const std::string base = "0 1\n1 2\n2 3\n3 0\n";
+  const std::string path = ::testing::TempDir() + "seg_edges_dups.txt";
+  write_file(path, base);
+  GraphTopology clean;
+  std::string error;
+  ASSERT_TRUE(GraphTopology::load_edge_list(path, &clean, &error)) << error;
+  write_file(path, base + "1 0\n2 2\n0 1\n3 3\n");
+  GraphTopology noisy;
+  ASSERT_TRUE(GraphTopology::load_edge_list(path, &noisy, &error)) << error;
+  EXPECT_TRUE(same_graph(noisy, clean));
+  EXPECT_EQ(noisy.edge_count(), 4u);
+  std::remove(path.c_str());
+}
+
+TEST(EdgeListFuzz, HubAtTheLimitLoadsAndOneOverIsRefused) {
+  const std::string path = ::testing::TempDir() + "seg_edges_hub.txt";
+  // 32766 leaves: the hub's neighbourhood is exactly the limit.
+  write_file(path, star_text(kMaxNeighborhoodSize - 1));
+  auto g = std::make_shared<GraphTopology>();
+  std::string error;
+  ASSERT_TRUE(GraphTopology::load_edge_list(path, g.get(), &error)) << error;
+  EXPECT_EQ(g->max_neighborhood_size(), kMaxNeighborhoodSize);
+  // The engine's int16 counts hold the hub at full +1 occupancy.
+  ModelParams params{.tau = 0.5, .p = 1.0};
+  SchellingModel model(params, g,
+                       std::vector<std::int8_t>(g->node_count(), 1));
+  EXPECT_EQ(model.plus_count(0), kMaxNeighborhoodSize);
+  model.flip(1);
+  EXPECT_TRUE(model.check_invariants());
+  // One more leaf pushes it over; the refusal names the hub.
+  write_file(path, star_text(kMaxNeighborhoodSize));
+  EXPECT_FALSE(GraphTopology::load_edge_list(path, g.get(), &error));
+  EXPECT_NE(error.find("node 0 "), std::string::npos) << error;
+  EXPECT_NE(error.find(std::to_string(kMaxNeighborhoodSize)),
+            std::string::npos)
+      << error;
+  std::remove(path.c_str());
 }
 
 // ---- partition --------------------------------------------------------------
@@ -389,6 +651,41 @@ TEST(ScenarioTopologyTest, ValidRejectsBadGraphSpecs) {
   ScenarioSpec parsed;
   EXPECT_FALSE(ScenarioSpec::parse("topology = mobius\n", &parsed, &error));
   EXPECT_NE(error.find("mobius"), std::string::npos) << error;
+}
+
+TEST(ScenarioTopologyTest, ValidRefusesNeighbourhoodsOverTheLimit) {
+  const std::string limit = std::to_string(kMaxNeighborhoodSize);
+  std::string error;
+  // Moore windows fit up to w = 90 (181^2 = 32761 sites).
+  ScenarioSpec torus;
+  torus.n = {200};
+  torus.w = {90};
+  torus.metrics = {"flips"};
+  EXPECT_TRUE(torus.valid(&error)) << error;
+  torus.w = {91};
+  EXPECT_FALSE(torus.valid(&error));
+  EXPECT_NE(error.find("w=91"), std::string::npos) << error;
+  EXPECT_NE(error.find(limit), std::string::npos) << error;
+  // The lollipop's clique node carrying the path has clique + 1 sites.
+  ScenarioSpec lollipop;
+  lollipop.topology = {TopologyFamily::kLollipop};
+  lollipop.metrics = {"flips"};
+  lollipop.graph_clique = kMaxNeighborhoodSize - 1;
+  EXPECT_TRUE(lollipop.valid(&error)) << error;
+  lollipop.graph_clique = kMaxNeighborhoodSize;
+  EXPECT_FALSE(lollipop.valid(&error));
+  EXPECT_NE(error.find("node " + std::to_string(kMaxNeighborhoodSize - 1)),
+            std::string::npos)
+      << error;
+  EXPECT_NE(error.find(limit), std::string::npos) << error;
+  ScenarioSpec regular;
+  regular.topology = {TopologyFamily::kRandomRegular};
+  regular.metrics = {"flips"};
+  regular.graph_nodes = 2 * kMaxNeighborhoodSize + 2;
+  regular.graph_degree = kMaxNeighborhoodSize;
+  EXPECT_FALSE(regular.valid(&error));
+  EXPECT_NE(error.find("node 0"), std::string::npos) << error;
+  EXPECT_NE(error.find(limit), std::string::npos) << error;
 }
 
 }  // namespace

@@ -56,30 +56,22 @@ TEST(InvariantFuzz, SchellingArbitraryFlips) {
         .shape = NeighborhoodShape::kVonNeumann},
        31003},  // sparse stencil + asymmetric thresholds
   };
-  // Both storage backends take the full mutation mix: the byte layout and
-  // the bit-packed layout maintain counts/codes/sets through different
-  // kernels but must agree with the recount audit identically.
-  for (const EngineStorage storage :
-       {EngineStorage::kByte, EngineStorage::kPacked}) {
-    for (const Config& config : configs) {
-      ModelParams params = config.params;
-      params.storage = storage;
-      Rng rng(config.seed);
-      SchellingModel model(params, rng);
-      ASSERT_TRUE(model.check_invariants());
-      int audits = 0;
-      for (int step = 0; step < kSteps; ++step) {
-        model.flip(static_cast<std::uint32_t>(
-            rng.uniform_below(model.agent_count())));
-        if (audit_due(rng)) {
-          ++audits;
-          ASSERT_TRUE(model.check_invariants())
-              << "n=" << config.params.n << " step " << step;
-        }
+  for (const Config& config : configs) {
+    Rng rng(config.seed);
+    SchellingModel model(config.params, rng);
+    ASSERT_TRUE(model.check_invariants());
+    int audits = 0;
+    for (int step = 0; step < kSteps; ++step) {
+      model.flip(static_cast<std::uint32_t>(
+          rng.uniform_below(model.agent_count())));
+      if (audit_due(rng)) {
+        ++audits;
+        ASSERT_TRUE(model.check_invariants())
+            << "n=" << config.params.n << " step " << step;
       }
-      EXPECT_GT(audits, 0);
-      ASSERT_TRUE(model.check_invariants());
     }
+    EXPECT_GT(audits, 0);
+    ASSERT_TRUE(model.check_invariants());
   }
 }
 

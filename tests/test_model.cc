@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/comfort.h"
 #include "core/params.h"
+#include "lattice/membership.h"
 
 namespace seg {
 namespace {
@@ -24,6 +26,41 @@ TEST(ModelParams, DerivedQuantities) {
 TEST(ModelParams, InvalidWhenNeighborhoodExceedsGrid) {
   ModelParams p{.n = 5, .w = 3, .tau = 0.4, .p = 0.5};
   EXPECT_FALSE(p.valid());
+}
+
+TEST(ModelParams, InvalidWhenWindowExceedsCountLimit) {
+  // int16 counts: Moore windows fit up to w = 90 (181^2 = 32761 sites),
+  // von Neumann diamonds up to w = 127 (32513 sites).
+  ModelParams p{.n = 400, .w = 90, .tau = 0.45, .p = 0.5};
+  EXPECT_TRUE(p.valid());
+  p.w = 91;
+  EXPECT_FALSE(p.valid());
+  p.shape = NeighborhoodShape::kVonNeumann;
+  p.w = 127;
+  EXPECT_TRUE(p.valid());
+  p.w = 128;
+  EXPECT_FALSE(p.valid());
+  EXPECT_GT(window_site_count(NeighborhoodShape::kVonNeumann, 128),
+            kMaxNeighborhoodSize);
+  // No overflow on absurd radii.
+  EXPECT_FALSE((ModelParams{.n = 2147483647, .w = 1000000000}.valid()));
+  ComfortParams c{.n = 400, .w = 90};
+  EXPECT_TRUE(c.valid());
+  c.w = 91;
+  EXPECT_FALSE(c.valid());
+  EXPECT_FALSE((ComfortParams{.n = 2147483647, .w = 1000000000}.valid()));
+}
+
+TEST(Model, LargestWindowCountsInInt16) {
+  // w = 90 on n = 181: every window is the whole torus, 32761 sites.
+  const int n = 181;
+  SchellingModel m({.n = n, .w = 90, .tau = 0.45, .p = 0.5},
+                   uniform_spins(n, 1));
+  EXPECT_EQ(m.plus_count(0), 32761);
+  m.flip(12345);
+  EXPECT_EQ(m.plus_count(0), 32760);
+  EXPECT_EQ(m.plus_count(n * n - 1), 32760);
+  EXPECT_EQ(m.spin(12345), -1);
 }
 
 TEST(AgentSetTest, InsertEraseContains) {
