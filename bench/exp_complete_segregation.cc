@@ -68,6 +68,7 @@ int main(int argc, char** argv) {
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 8));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 21));
   const int shards = static_cast<int>(args.get_int("shards", 1));
+  if (!args.check_usage({"n", "w", "trials", "seed", "shards"})) return 1;
 
   std::printf("== (A) No complete segregation at p = 1/2 (corollary of the "
               "exponential upper bound) ==\n");

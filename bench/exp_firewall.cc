@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   const seg::ArgParser args(argc, argv);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 23));
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 3));
+  if (!args.check_usage({"seed", "trials"})) return 1;
 
   std::printf("== Lemma 20: radical-region frequency vs binomial "
               "prediction ==\n\n");

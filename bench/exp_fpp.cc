@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   const int L = static_cast<int>(args.get_int("L", 192));
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 16));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 17));
+  if (!args.check_usage({"L", "trials", "seed"})) return 1;
 
   std::printf("== Theorem 3 (Kesten): T_k/k convergence and sqrt(k) "
               "fluctuations ==\n");

@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   const int n = static_cast<int>(args.get_int("n", 96));
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 4));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
+  if (!args.check_usage({"w", "n", "trials", "seed"})) return 1;
   const int N = (2 * w + 1) * (2 * w + 1);
 
   std::printf("== Monotonicity in tau: measured E[M], E[M'] vs the "

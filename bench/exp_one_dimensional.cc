@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
   const int ring = static_cast<int>(args.get_int("ring", 1 << 14));
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 3));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 13));
+  if (!args.check_usage({"ring", "trials", "seed"})) return 1;
   const std::vector<int> ws{2, 4, 6, 8, 10, 12};
 
   std::printf("== 1-D ring baseline: mean run length vs w (ring = %d, %zu "

@@ -25,6 +25,12 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 37));
   const auto threads = static_cast<std::size_t>(args.get_int("threads", 1));
   const std::string out = args.get_string("out", "phase_diagram.csv");
+  const std::string checkpoint = args.get_string("checkpoint", "");
+  const bool resume = args.get_bool("resume", false);
+  if (!args.check_usage({"n", "w", "trials", "seed", "threads", "out",
+                         "checkpoint", "resume"})) {
+    return 1;
+  }
 
   seg::BuiltinCampaign campaign;
   seg::make_builtin_campaign(
@@ -38,8 +44,8 @@ int main(int argc, char** argv) {
 
   seg::CampaignOptions options;
   options.threads = threads;
-  options.checkpoint_path = args.get_string("checkpoint", "");
-  options.resume = args.get_bool("resume", false);
+  options.checkpoint_path = checkpoint;
+  options.resume = resume;
   const seg::CampaignResult result = seg::run_campaign(
       campaign.spec, campaign.points, campaign.metric_names,
       campaign.replica, seed, options);

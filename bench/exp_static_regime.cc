@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   const int w = static_cast<int>(args.get_int("w", 3));
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 4));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 9));
+  if (!args.check_usage({"n", "w", "trials", "seed"})) return 1;
   const int N = (2 * w + 1) * (2 * w + 1);
 
   std::printf("== Static vs cascading regimes across tau (w=%d, N=%d, "

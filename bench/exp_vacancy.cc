@@ -48,6 +48,7 @@ int main(int argc, char** argv) {
   const double tau = args.get_double("tau", 0.45);
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 4));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 41));
+  if (!args.check_usage({"n", "w", "tau", "trials", "seed"})) return 1;
 
   std::printf("== Glauber (open system) vs vacancy relocation (closed "
               "system), tau=%.2f, w=%d, n=%d ==\n\n",

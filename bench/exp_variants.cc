@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 29));
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 4));
   const int n = static_cast<int>(args.get_int("n", 64));
+  if (!args.check_usage({"seed", "trials", "n"})) return 1;
 
   std::printf("== (a) Comfort band: cap on the same-type fraction ==\n");
   std::printf("(n=%d, w=2, tau_lo=0.45, %zu trials; tau_hi=1 is the "

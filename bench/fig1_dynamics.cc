@@ -52,6 +52,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2017));
   const int shards = static_cast<int>(args.get_int("shards", 1));
   const std::string out_dir = args.get_string("out", "out_fig1");
+  if (!args.check_usage({"n", "w", "tau", "seed", "shards", "out"})) return 1;
   ::mkdir(out_dir.c_str(), 0755);
 
   std::printf("== Figure 1: segregation dynamics, tau=%.2f, %dx%d, N=%d, "

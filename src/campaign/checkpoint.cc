@@ -1,5 +1,6 @@
 #include "campaign/checkpoint.h"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -58,6 +59,58 @@ double bits_double(std::uint64_t bits) {
   return v;
 }
 
+// Emits the one on-disk form of `data` (load_checkpoint accepts nothing
+// else) as sink(bytes, size) calls of up to about kChunk bytes each, so
+// a save never holds the whole file in memory.
+template <class Sink>
+void render_checkpoint(const CheckpointData& data, Sink&& sink) {
+  constexpr std::size_t kChunk = 1 << 16;
+  std::string out;
+  out.reserve(kChunk);
+  char buf[128];
+  auto put = [&](int len) { out.append(buf, static_cast<std::size_t>(len)); };
+  out += kMagic;
+  out += '\n';
+  put(std::snprintf(buf, sizeof(buf),
+                    "seed %" PRIu64 " hash %" PRIu64
+                    " replicas %zu metrics %zu\n",
+                    data.seed, data.spec_hash, data.done.size(),
+                    data.metric_count));
+  // Row lines are nearly all of the bytes; they are formatted by hand
+  // ("r %zu" and " %016" PRIx64 each value) rather than by snprintf.
+  for (std::size_t g = 0; g < data.done.size(); ++g) {
+    if (!data.done[g]) continue;
+    buf[0] = 'r';
+    buf[1] = ' ';
+    out.append(buf, std::to_chars(buf + 2, buf + sizeof(buf), g).ptr);
+    for (const double v : data.values[g]) {
+      std::uint64_t bits = double_bits(v);
+      buf[0] = ' ';
+      for (int i = 16; i > 0; --i, bits >>= 4) {
+        buf[i] = "0123456789abcdef"[bits & 15];
+      }
+      out.append(buf, 17);
+    }
+    out += '\n';
+    if (out.size() >= kChunk) {
+      sink(out.data(), out.size());
+      out.clear();
+    }
+  }
+  for (const StopDecision& d : data.trace) {
+    put(std::snprintf(buf, sizeof(buf),
+                      "s %" PRIu32 " %" PRIu32 " %s %016" PRIx64 "\n",
+                      d.point, d.replicas, stop_rule_name(d.rule),
+                      double_bits(d.bound)));
+  }
+  if (!data.trace.empty()) {
+    put(std::snprintf(buf, sizeof(buf), "trace %016" PRIx64 "\n",
+                      decision_trace_hash(data.trace)));
+  }
+  put(std::snprintf(buf, sizeof(buf), "end %zu\n", data.done_count()));
+  sink(out.data(), out.size());
+}
+
 }  // namespace
 
 std::size_t CheckpointData::done_count() const {
@@ -72,30 +125,10 @@ bool save_checkpoint(const std::string& path, const CheckpointData& data) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "w");
   if (!f) return false;
-  bool ok = std::fprintf(f, "%s\n", kMagic) > 0;
-  ok = ok && std::fprintf(f, "seed %" PRIu64 " hash %" PRIu64
-                             " replicas %zu metrics %zu\n",
-                          data.seed, data.spec_hash, data.done.size(),
-                          data.metric_count) > 0;
-  for (std::size_t g = 0; ok && g < data.done.size(); ++g) {
-    if (!data.done[g]) continue;
-    ok = std::fprintf(f, "r %zu", g) > 0;
-    for (const double v : data.values[g]) {
-      ok = ok && std::fprintf(f, " %016" PRIx64, double_bits(v)) > 0;
-    }
-    ok = ok && std::fprintf(f, "\n") > 0;
-  }
-  for (std::size_t i = 0; ok && i < data.trace.size(); ++i) {
-    const StopDecision& d = data.trace[i];
-    ok = std::fprintf(f, "s %" PRIu32 " %" PRIu32 " %s %016" PRIx64 "\n",
-                      d.point, d.replicas, stop_rule_name(d.rule),
-                      double_bits(d.bound)) > 0;
-  }
-  if (!data.trace.empty()) {
-    ok = ok && std::fprintf(f, "trace %016" PRIx64 "\n",
-                            decision_trace_hash(data.trace)) > 0;
-  }
-  ok = ok && std::fprintf(f, "end %zu\n", data.done_count()) > 0;
+  bool ok = true;
+  render_checkpoint(data, [&](const char* bytes, std::size_t size) {
+    ok = ok && std::fwrite(bytes, 1, size, f) == size;
+  });
   ok = ok && flush_and_sync(f);
   ok = std::fclose(f) == 0 && ok;
   if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
@@ -131,10 +164,6 @@ bool load_checkpoint(const std::string& path, CheckpointData* out) {
     data.done.assign(replica_count, 0);
     data.values.assign(replica_count, {});
   }
-  bool saw_trailer = false;
-  std::size_t trailer_count = 0;
-  bool saw_trace_hash = false;
-  std::uint64_t trace_hash = 0;
   while (ok) {
     char tag[8] = {0};
     if (std::fscanf(f, "%7s", tag) != 1) break;  // EOF
@@ -163,29 +192,38 @@ bool load_checkpoint(const std::string& path, CheckpointData* out) {
         d.bound = bits_double(bits);
         data.trace.push_back(d);
       }
-    } else if (std::strcmp(tag, "trace") == 0) {
-      ok = std::fscanf(f, " %" SCNx64, &trace_hash) == 1;
-      saw_trace_hash = ok;
-    } else if (std::strcmp(tag, "end") == 0) {
-      // The trailer must be a complete line: a write cut anywhere inside
-      // the final "end N\n" is a torn file, not a shorter checkpoint.
-      ok = std::fscanf(f, "%zu", &trailer_count) == 1 &&
-           std::fgetc(f) == '\n';
-      saw_trailer = ok;
-      break;
     } else {
-      ok = false;
+      // The trace hash and the trailer are derived from the lines above;
+      // the canonical comparison below checks them.
+      ok = std::strcmp(tag, "trace") == 0 || std::strcmp(tag, "end") == 0;
+      break;
     }
+  }
+  // Only the canonical form loads: the file must be byte for byte what
+  // save_checkpoint writes for the parsed data. That refuses whatever the
+  // scanf parse tolerates (duplicated or reordered rows, stray
+  // whitespace, upper-case hex) along with a torn or missing trailer, a
+  // stale trailer count, a trace hash that does not fold back from the
+  // `s` lines, and trailing bytes, so a loaded checkpoint re-saves
+  // bit-exact.
+  std::string bytes;
+  if (ok) {
+    std::rewind(f);
+    char buf[1 << 16];
+    std::size_t got = 0;
+    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+      bytes.append(buf, got);
+    }
+    ok = std::ferror(f) == 0;
   }
   std::fclose(f);
-  if (!ok || !saw_trailer || trailer_count != data.done_count()) return false;
-  // A decision trace must carry its own hash and the hash must fold back
-  // from the entries — a torn or edited trace is a corrupt checkpoint.
-  if (!data.trace.empty() || saw_trace_hash) {
-    if (!saw_trace_hash || trace_hash != decision_trace_hash(data.trace)) {
-      return false;
-    }
-  }
+  if (!ok) return false;
+  std::size_t at = 0;
+  render_checkpoint(data, [&](const char* canonical, std::size_t size) {
+    ok = ok && bytes.compare(at, size, canonical, size) == 0;
+    at += size;
+  });
+  if (!ok || at != bytes.size()) return false;
   *out = std::move(data);
   return true;
 }

@@ -5,7 +5,8 @@
 // uninterrupted run would have produced. Doubles are stored as their IEEE
 // bit patterns in hex, so the round-trip is bit-exact. Files are written
 // to a temp path and renamed into place, and carry a trailer line, so a
-// half-written checkpoint is detected and ignored on load.
+// half-written checkpoint is detected and ignored on load. There is one
+// on-disk form per CheckpointData; the loader accepts nothing else.
 //
 // Identity: a checkpoint records the campaign seed and an identity hash
 // (spec text plus the actual expanded points, see campaign.cc); resuming
@@ -44,7 +45,8 @@ struct CheckpointData {
 bool save_checkpoint(const std::string& path, const CheckpointData& data);
 
 // Loads `path`. Returns false (leaving *out untouched) if the file is
-// missing, truncated, or malformed.
+// missing, truncated, malformed, or not byte for byte the form
+// save_checkpoint writes for the data it holds.
 bool load_checkpoint(const std::string& path, CheckpointData* out);
 
 }  // namespace seg

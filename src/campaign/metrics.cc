@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <memory>
+#include <mutex>
 
 #include "analysis/streaming.h"
 #include "core/parallel_dynamics.h"
@@ -228,17 +230,58 @@ std::vector<std::string> expand_metric_names(
 
 namespace {
 
-// A replica's initial model over `graph` (nullptr: the native torus),
-// split into `shards` parts for the sharded sweep engine when > 1.
-SchellingModel make_model(const ModelParams& params,
-                          const std::shared_ptr<const GraphTopology>& graph,
+// The immutable structure a non-torus point's replicas share: its
+// topology and, for sharded points, the greedy-BFS partition each engine
+// copies. graph is null when the topology could not be built.
+struct PointGraph {
+  std::once_flag built;
+  std::shared_ptr<const GraphTopology> graph;
+  GraphPartition partition;
+};
+
+// Per-campaign cache of PointGraphs, keyed by point.index and filled on
+// the first replica of each point, so set-up before the first replica
+// stays graph-free. Node-based map: a slot's address is stable while
+// other points insert theirs.
+class TopologyCache {
+ public:
+  const PointGraph& get(const ScenarioSpec& spec, const ScenarioPoint& point,
+                        int shards) {
+    PointGraph* slot = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      slot = &slots_[point.index];
+    }
+    std::call_once(slot->built, [&] {
+      std::string why;
+      slot->graph = build_topology(spec, point, &why);
+      if (!slot->graph) {
+        // Reported once; every replica of the point returns the NaN row.
+        std::fprintf(stderr,
+                     "campaign: point %zu: cannot build %s topology: %s\n",
+                     point.index, topology_name(point.topology), why.c_str());
+      } else if (shards > 1) {
+        slot->partition = GraphPartition::greedy_bfs(*slot->graph, shards);
+      }
+    });
+    return *slot;
+  }
+
+ private:
+  std::mutex mu_;
+  std::map<std::size_t, PointGraph> slots_;
+};
+
+// A replica's initial model over the point's shared graph (nullptr: the
+// native torus), split into `shards` parts for the sharded sweep engine
+// when > 1.
+SchellingModel make_model(const ModelParams& params, const PointGraph* shared,
                           int shards, Rng& init) {
-  if (graph) {
+  if (shared) {
     return SchellingModel(
-        params, graph,
-        random_spins_count(graph->node_count(), params.p, init),
-        shards > 1 ? GraphPartition::greedy_bfs(*graph, shards)
-                   : GraphPartition());
+        params, shared->graph,
+        random_spins_count(shared->graph->node_count(), params.p, init),
+        shared->partition);
   }
   return shards > 1 ? SchellingModel(params, init,
                                      ShardLayout::stripes(params.n, params.w,
@@ -268,22 +311,11 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
     }
     fns.push_back(fn);
   }
-  return [spec, fns, needs_streaming](const ScenarioPoint& point,
-                                      std::size_t /*replica*/,
-                                      std::uint64_t replica_seed) {
-    // Non-torus points run over the point's GraphTopology with per-node
-    // thresholds; everything after model construction is shared.
-    std::shared_ptr<const GraphTopology> graph;
-    if (point.topology != TopologyFamily::kTorus) {
-      std::string why;
-      graph = build_topology(spec, point, &why);
-      if (!graph) {
-        std::fprintf(stderr,
-                     "campaign: point %zu: cannot build %s topology: %s\n",
-                     point.index, topology_name(point.topology), why.c_str());
-        return std::vector<double>(fns.size(), nan_metric());
-      }
-    }
+  // Shared by every copy of the returned closure: one campaign's replicas.
+  auto cache = std::make_shared<TopologyCache>();
+  return [spec, fns, needs_streaming, cache](const ScenarioPoint& point,
+                                             std::size_t /*replica*/,
+                                             std::uint64_t replica_seed) {
     // Stream layout matches the bench convention: 0 = initial
     // configuration, 1 = dynamics, 2 = measurement sampling. The sharded
     // path derives its per-shard substreams from the dynamics stream's
@@ -291,17 +323,23 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
     // init or measurement streams.
     const bool sharded =
         spec.shards > 1 && point.dynamics == DynamicsKind::kGlauber;
+    const int shards = sharded ? static_cast<int>(spec.shards) : 1;
+    // Non-torus points run over the point's shared GraphTopology with
+    // per-node thresholds; everything after model construction is shared.
+    const PointGraph* shared = nullptr;
+    if (point.topology != TopologyFamily::kTorus) {
+      shared = &cache->get(spec, point, shards);
+      if (!shared->graph) return std::vector<double>(fns.size(), nan_metric());
+    }
     Rng init = Rng::stream(replica_seed, 0);
-    SchellingModel model = make_model(
-        point.params, graph, sharded ? static_cast<int>(spec.shards) : 1,
-        init);
+    SchellingModel model = make_model(point.params, shared, shards, init);
     // The streaming engine (when any streaming_* metric is requested)
     // subscribes to the dynamics' flip events and replaces every
     // measurement rescan; it consumes no RNG, so the trajectory is
     // bitwise the one an unmeasured run produces. Streaming metrics are
     // lattice-only (valid() refuses them on graphs).
     std::unique_ptr<StreamingObservables> streaming;
-    if (needs_streaming && !graph) {
+    if (needs_streaming && !shared) {
       StreamingConfig streaming_config;
       streaming_config.autocorr_window = 64;
       streaming = std::make_unique<StreamingObservables>(

@@ -93,7 +93,10 @@ std::vector<std::string> expand_metric_names(
 // Builds the engine ReplicaFn for the built-in Schelling model: constructs
 // the model from the point's params, runs the point's dynamics, then
 // evaluates spec.metrics (which must all be known). The spec is captured
-// by value.
+// by value. A non-torus point's topology (and graph partition, when
+// sharded) is built on the point's first replica and shared by all of
+// its replicas, keyed by point.index, so one ReplicaFn (and its copies)
+// serves one point list; an edge-list file is read once per point.
 ReplicaFn make_schelling_replica(const ScenarioSpec& spec);
 
 }  // namespace seg

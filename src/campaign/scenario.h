@@ -31,8 +31,9 @@ const char* shape_name(NeighborhoodShape shape);
 
 // Which topology the replicas run on. kTorus is the native span engine
 // (the default, bitwise the legacy trajectories); the rest construct a
-// GraphTopology (graph/topology.h) per replica and run the same dynamics
-// through the engine's graph mode with per-node thresholds.
+// GraphTopology (graph/topology.h) once per point, shared by the point's
+// replicas, and run the same dynamics through the engine's graph mode
+// with per-node thresholds.
 enum class TopologyFamily {
   kTorus,          // native n x n torus, span/popcount fast path
   kLollipop,       // clique of graph_clique nodes + path of graph_path
