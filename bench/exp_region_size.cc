@@ -50,7 +50,7 @@ void report_tau(const seg::BuiltinCampaign& campaign,
         result.stats_for(point, "mean_mono_region")->mean();
     const double mean_mp =
         result.stats_for(point, "mean_almost_region")->mean();
-    // Companion observables from the streaming engine: the largest
+    // Companion observables from the streaming group: the largest
     // same-type cluster and the interface (unlike-neighbor bond) energy
     // density of the absorbing configuration.
     const double mean_c1 =

@@ -39,35 +39,38 @@ std::vector<double> pair_correlation(const std::vector<std::int8_t>& spins,
   return c;
 }
 
-std::vector<double> autocovariance(const std::vector<double>& series,
+std::vector<double> autocovariance(const std::vector<std::int64_t>& series,
                                    std::size_t max_lag) {
   const std::size_t t_count = series.size();
   std::vector<double> out(max_lag + 1, 0.0);
   if (t_count == 0) return out;
-  double total = 0.0;
-  for (const double v : series) total += v;
+  std::int64_t sum = 0;
+  for (const std::int64_t v : series) sum += v;
+  const double total = static_cast<double>(sum);
   const double mean = total / static_cast<double>(t_count);
   for (std::size_t l = 0; l <= max_lag; ++l) {
     if (l >= t_count) continue;
     // Closed form: sum (x_t - m)(x_{t-l} - m) = sum x_t x_{t-l}
     //   - m * (head + tail) + (T - l) m^2, with head/tail the lagged and
-    // leading partial sums. The expression (and operation order) matches
-    // StreamingObservables::autocovariance so integer-valued series
-    // agree bitwise.
-    double prod = 0.0;
+    // leading partial sums. The sums are exact integers and the
+    // expression (and operation order) matches
+    // StreamingObservables::autocovariance, so the two agree bitwise.
+    std::int64_t prod = 0;
     for (std::size_t t = l; t < t_count; ++t) {
       prod += series[t] * series[t - l];
     }
-    double head_excl = 0.0;
+    std::int64_t head_excl = 0;
     for (std::size_t t = 0; t < l; ++t) head_excl += series[t];
-    double tail_excl = 0.0;
+    std::int64_t tail_excl = 0;
     for (std::size_t t = t_count - l; t < t_count; ++t) {
       tail_excl += series[t];
     }
-    const double head = total - head_excl;
-    const double tail = total - tail_excl;
+    const double head = total - static_cast<double>(head_excl);
+    const double tail = total - static_cast<double>(tail_excl);
     const double tl = static_cast<double>(t_count - l);
-    out[l] = (prod - mean * (head + tail) + tl * mean * mean) / tl;
+    out[l] = (static_cast<double>(prod) - mean * (head + tail) +
+              tl * mean * mean) /
+             tl;
   }
   return out;
 }

@@ -21,16 +21,16 @@ std::vector<double> pair_correlation(const std::vector<std::int8_t>& spins,
 // max_r if it never does. C must be a pair_correlation() output.
 double correlation_length(const std::vector<double>& c);
 
-// Time autocovariance of a scalar series (e.g. per-sweep magnetization):
+// Time autocovariance of an integer series (e.g. per-sweep
+// magnetization):
 //
 //   gamma(l) = (1/(T-l)) * sum_{t=l}^{T-1} (x[t] - mean)(x[t-l] - mean)
 //
 // with `mean` over the whole series. Returned for l = 0..max_lag; lags
 // with T - l <= 0 report 0. This is the batch reference for the
-// streaming ring-buffer tracker (analysis/streaming.h): for
-// integer-valued series both evaluate the same closed form over exactly
-// represented sums, so they agree bitwise.
-std::vector<double> autocovariance(const std::vector<double>& series,
+// streaming ring-buffer tracker (analysis/streaming.h): both evaluate the
+// same closed form over exact int64 sums, so they agree bitwise.
+std::vector<double> autocovariance(const std::vector<std::int64_t>& series,
                                    std::size_t max_lag);
 
 }  // namespace seg

@@ -62,9 +62,8 @@ const std::vector<Builtin>& builtins() {
           .p = {0.50, 0.55, 0.60, 0.70, 0.80, 0.90},
           .region_samples = 16,
           .metrics = {"mean_mono_region", "fixation", "majority", "flips"}}},
-      // The cluster/interface companions to the region metrics come from
-      // the streaming engine — tracked over the whole trajectory in O(1)
-      // per flip, never by an end-state rescan.
+      // The cluster/interface companions to the region metrics: the
+      // streaming group's values, from one rescan of the absorbing state.
       {ScenarioSpec{.name = "region_size",
                     .w = {1, 2, 3, 4, 5},
                     .tau = {0.45, 0.40, 0.55},

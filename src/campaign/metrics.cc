@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 
+#include "analysis/correlation.h"
 #include "analysis/streaming.h"
 #include "core/parallel_dynamics.h"
 #include "graph/partition.h"
@@ -25,14 +26,6 @@ double nan_metric() { return std::numeric_limits<double>::quiet_NaN(); }
 template <class T>
 double count(T v) {
   return static_cast<double>(v);
-}
-
-// The streaming metrics read the engine that tracked the replica's
-// dynamics in O(1); NaN when none was attached.
-template <auto Read>
-double streaming(MetricContext& ctx) {
-  return ctx.streaming ? static_cast<double>((ctx.streaming->*Read)())
-                       : nan_metric();
 }
 
 // The group the "streaming" pseudo-metric expands to, in column order.
@@ -92,20 +85,21 @@ constexpr MetricEntry kRegistry[] = {
      [](Ctx& c) { return c.clusters().mean_cluster_size; }, false},
     {"interface_length",
      [](Ctx& c) { return count(c.clusters().interface_length); }, false},
+    // The streaming group: the values a per-flip StreamingObservables
+    // engine would report at the end of the run, read off the final
+    // state (tests/test_streaming_differential.cc pins streaming ==
+    // batch) and the replica's magnetization samples.
     {"streaming_magnetization",
-     streaming<&StreamingObservables::magnetization>, false},
+     [](Ctx& c) { return count(c.model.magnetization()); }, false},
     {"streaming_interface_length",
-     streaming<&StreamingObservables::interface_length>, false},
+     [](Ctx& c) { return count(c.clusters().interface_length); }, false},
     {"streaming_cluster_count",
-     streaming<&StreamingObservables::cluster_count>, false},
+     [](Ctx& c) { return count(c.clusters().cluster_count); }, false},
     {"streaming_largest_cluster",
-     streaming<&StreamingObservables::largest_cluster>, false},
+     [](Ctx& c) { return count(c.clusters().largest_cluster); }, false},
     {"streaming_mean_cluster_size",
-     streaming<&StreamingObservables::mean_cluster_size>, false},
-    {"streaming_autocorr_lag1",
-     [](Ctx& c) {
-       return c.streaming ? c.streaming->autocorrelation(1) : nan_metric();
-     },
+     [](Ctx& c) { return c.clusters().mean_cluster_size; }, false},
+    {"streaming_autocorr_lag1", [](Ctx& c) { return c.autocorr_lag1; },
      false},
 };
 
@@ -174,11 +168,8 @@ const AlmostMonoField& MetricContext::almost() {
 
 const ClusterStats& MetricContext::clusters() {
   if (!clusters_) {
-    // The streaming engine tracked the whole run incrementally, so the
-    // O(n^2) rescan is replaced by an O(1) read when one is attached.
-    clusters_ = std::make_unique<ClusterStats>(
-        streaming ? streaming->cluster_stats()
-                  : cluster_stats(spins(), model.side()));
+    clusters_ =
+        std::make_unique<ClusterStats>(cluster_stats(spins(), model.side()));
   }
   return *clusters_;
 }
@@ -294,6 +285,8 @@ SchellingModel make_model(const ModelParams& params, const PointGraph* shared,
 ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
   const std::vector<std::string> expanded =
       expand_metric_names(spec.metrics);
+  const bool needs_autocorr =
+      metric_index(expanded, "streaming_autocorr_lag1") < expanded.size();
   bool needs_streaming = false;
   std::vector<MetricFn> fns;
   fns.reserve(expanded.size());
@@ -313,9 +306,9 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
   }
   // Shared by every copy of the returned closure: one campaign's replicas.
   auto cache = std::make_shared<TopologyCache>();
-  return [spec, fns, needs_streaming, cache](const ScenarioPoint& point,
-                                             std::size_t /*replica*/,
-                                             std::uint64_t replica_seed) {
+  return [spec, fns, needs_streaming, needs_autocorr, cache](
+             const ScenarioPoint& point, std::size_t /*replica*/,
+             std::uint64_t replica_seed) {
     // Stream layout matches the bench convention: 0 = initial
     // configuration, 1 = dynamics, 2 = measurement sampling. The sharded
     // path derives its per-shard substreams from the dynamics stream's
@@ -333,16 +326,18 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
     }
     Rng init = Rng::stream(replica_seed, 0);
     SchellingModel model = make_model(point.params, shared, shards, init);
-    // The streaming engine (when any streaming_* metric is requested)
-    // subscribes to the dynamics' flip events and replaces every
-    // measurement rescan; it consumes no RNG, so the trajectory is
-    // bitwise the one an unmeasured run produces. Streaming metrics are
-    // lattice-only (valid() refuses them on graphs).
-    std::unique_ptr<StreamingObservables> streaming;
-    if (needs_streaming && !shared) {
+    // The streaming_* metrics read the final state, except the
+    // magnetization autocorrelation, which reads samples taken every
+    // `sample_every` flips. A sharded run takes those mid-sweep on its
+    // replayed flip stream, so it alone attaches a StreamingObservables
+    // engine, and only for that metric (the engine consumes no RNG: the
+    // trajectory is bitwise the one an unmeasured run produces).
+    // Streaming metrics are lattice-only (valid() refuses them on graphs).
+    std::unique_ptr<StreamingObservables> replay;
+    if (sharded && needs_autocorr && !shared) {
       StreamingConfig streaming_config;
       streaming_config.autocorr_window = 64;
-      streaming = std::make_unique<StreamingObservables>(
+      replay = std::make_unique<StreamingObservables>(
           model.spins(), point.params.n, streaming_config);
     }
     const std::uint64_t sample_every =
@@ -353,6 +348,7 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
                          point.params.n / 64);
     RunOptions run_options;
     if (spec.max_flips > 0) run_options.max_flips = spec.max_flips;
+    std::vector<std::int64_t> magnetization;  // serial samples
     RunResult run;
     if (sharded) {
       SEG_TRACE_SPAN("replica_dynamics");
@@ -368,19 +364,19 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
       // give the sweep engine the whole machine.
       parallel_options.threads = 1;
       parallel_options.max_flips = run_options.max_flips;
-      parallel_options.streaming = streaming.get();
+      parallel_options.streaming = replay.get();
       parallel_options.streaming_sample_every = sample_every;
       run = to_run_result(run_parallel_glauber(
           model, mix_seed(replica_seed, 1), parallel_options));
     } else {
       SEG_TRACE_SPAN("replica_dynamics");
-      if (streaming) {
-        model.set_flip_observer(streaming.get());
+      if (needs_streaming) {
+        // Also the --progress line's live magnetization gauge.
         run_options.snapshot_every = sample_every;
-        StreamingObservables* sink = streaming.get();
-        run_options.on_snapshot = [sink](const SchellingModel&,
-                                         std::uint64_t, double) {
-          sink->record_sample();
+        run_options.on_snapshot = [&magnetization](const SchellingModel& m,
+                                                   std::uint64_t, double) {
+          magnetization.push_back(m.magnetization());
+          SEG_GAUGE_SET("streaming.magnetization", magnetization.back());
         };
       }
       Rng dyn = Rng::stream(replica_seed, 1);
@@ -395,12 +391,19 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
           run = run_synchronous(model, spec.sync_max_rounds, run_options);
           break;
       }
-      model.set_flip_observer(nullptr);
     }
     SEG_HISTOGRAM("campaign.replica_flips", run.flips);
     SEG_TRACE_SPAN("replica_measure");
     Rng sample = Rng::stream(replica_seed, 2);
-    MetricContext ctx(model, run, spec, sample, streaming.get());
+    double autocorr_lag1 = nan_metric();
+    if (replay) {
+      autocorr_lag1 = replay->autocorrelation(1);
+    } else if (needs_autocorr) {
+      // StreamingObservables::autocorrelation(1) over the same samples.
+      const std::vector<double> gamma = autocovariance(magnetization, 1);
+      autocorr_lag1 = gamma[0] == 0.0 ? 0.0 : gamma[1] / gamma[0];
+    }
+    MetricContext ctx(model, run, spec, sample, autocorr_lag1);
     std::vector<double> values;
     values.reserve(fns.size());
     for (const MetricFn fn : fns) values.push_back(fn(ctx));

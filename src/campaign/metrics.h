@@ -22,8 +22,6 @@
 
 namespace seg {
 
-class StreamingObservables;
-
 // Everything a metric may observe about a finished replica. Sampling
 // estimators draw from `sample_rng`, a stream dedicated to measurement so
 // metric evaluation never perturbs the dynamics.
@@ -31,26 +29,26 @@ class MetricContext {
  public:
   MetricContext(const SchellingModel& model, const RunResult& run,
                 const ScenarioSpec& spec, Rng& sample_rng,
-                const StreamingObservables* streaming = nullptr)
+                double autocorr_lag1)
       : model(model),
         run(run),
         spec(spec),
         sample_rng(sample_rng),
-        streaming(streaming) {}
+        autocorr_lag1(autocorr_lag1) {}
 
   const SchellingModel& model;
   const RunResult& run;
   const ScenarioSpec& spec;
   Rng& sample_rng;
-  // Streaming engine that tracked the replica's dynamics; nullptr when no
-  // streaming metric was requested. The streaming_* metrics read it, and
-  // clusters() is served from it in O(1) when present (the differential
-  // suite pins streaming == batch, so the values are identical).
-  const StreamingObservables* streaming;
+  // Lag-1 time autocorrelation of the magnetization samples the replica
+  // took every streaming_sample_every flips (streaming_autocorr_lag1);
+  // NaN when that metric was not requested.
+  double autocorr_lag1;
 
   // Lazily computed, cached for the lifetime of the replica. spins() is
   // the one unpacked snapshot of the final configuration that every
-  // metric reading site values shares.
+  // metric reading site values shares; clusters() is one rescan of it,
+  // shared by the cluster metrics and the streaming_* group.
   const std::vector<std::int8_t>& spins();
   const MonoRegionField& mono();
   const AlmostMonoField& almost();

@@ -198,6 +198,11 @@ class SchellingModel {
   double happy_fraction() const;
   // Fraction of +1 agents.
   double plus_fraction() const;
+  // Spin sum: the +1 count minus the -1 count. O(sites / 64).
+  std::int64_t magnetization() const {
+    return 2 * engine_.plus_total() -
+           static_cast<std::int64_t>(agent_count());
+  }
 
   // Full O(n^2 (recount)) invariant audit used by tests and debug builds.
   bool check_invariants() const;

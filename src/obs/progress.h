@@ -8,10 +8,11 @@
 // engine lock, so the callback only touches atomics — and (b) the
 // telemetry registry: engine flip counters for flips/sec, the
 // per-worker pool busy counters for utilization, the sharded
-// conflict-queue gauge, and the live streaming-observable gauges
-// (magnetization / clusters / interface) that analysis/streaming
-// publishes on every sample. ETA extrapolates the replica completion
-// rate over the remaining replicas.
+// conflict-queue gauge, and the live streaming-observable gauges:
+// magnetization, published at every sample by analysis/streaming and by
+// a serial campaign replica's snapshot hook, and clusters / interface,
+// published by analysis/streaming only. ETA extrapolates the replica
+// completion rate over the remaining replicas.
 //
 // Each JSONL record:
 //   {"t": seconds_since_start, "done": N, "total": N,

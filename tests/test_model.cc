@@ -1,5 +1,7 @@
 #include "core/model.h"
 
+#include <memory>
+#include <numeric>
 #include <tuple>
 #include <vector>
 
@@ -7,6 +9,7 @@
 
 #include "core/comfort.h"
 #include "core/params.h"
+#include "graph/topology.h"
 #include "lattice/membership.h"
 
 namespace seg {
@@ -213,6 +216,29 @@ TEST(Model, RandomFlipSequencePreservesInvariants) {
     m.flip(id);
   }
   EXPECT_TRUE(m.check_invariants());
+}
+
+// magnetization() reads the packed engine's +1 count; it must equal the
+// spin sum after arbitrary flips, including on a graph whose node count
+// leaves a partial last word.
+TEST(Model, MagnetizationIsSpinSum) {
+  ModelParams p{.n = 12, .w = 2, .tau = 0.45, .p = 0.6};
+  Rng rng(37);
+  SchellingModel torus(p, rng);
+  auto graph = std::make_shared<const GraphTopology>(
+      GraphTopology::random_regular(101, 4, 5));
+  SchellingModel on_graph(p, graph,
+                          random_spins_count(graph->node_count(), p.p, rng));
+  for (SchellingModel* m : {&torus, &on_graph}) {
+    for (int t = 0; t < 300; ++t) {
+      m->flip(static_cast<std::uint32_t>(rng.uniform_below(m->agent_count())));
+      if (t % 50 != 0) continue;
+      const std::vector<std::int8_t> spins = m->spins();
+      EXPECT_EQ(m->magnetization(),
+                std::accumulate(spins.begin(), spins.end(), std::int64_t{0}))
+          << (m->graph_mode() ? "graph" : "torus") << " after " << t;
+    }
+  }
 }
 
 TEST(Model, LyapunovIncreasesOnFlippableFlip) {

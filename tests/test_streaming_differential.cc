@@ -274,14 +274,14 @@ TEST(StreamingDifferential, AutocovarianceMatchesBatchReference) {
   StreamingConfig cfg;
   cfg.autocorr_window = kWindow;
   StreamingObservables obs(field, n, cfg);
-  std::vector<double> series;
+  std::vector<std::int64_t> series;
   for (int step = 0; step < 200; ++step) {
     for (int f = 0; f < 5; ++f) {
       obs.apply_flip(static_cast<std::uint32_t>(
           rng.uniform_below(field.size())));
     }
     obs.record_sample();
-    series.push_back(static_cast<double>(obs.magnetization()));
+    series.push_back(obs.magnetization());
     const std::size_t max_lag =
         std::min(series.size() - 1, kWindow - 1);
     const std::vector<double> batch = autocovariance(series, max_lag);
