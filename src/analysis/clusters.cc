@@ -82,4 +82,20 @@ double majority_fraction(const std::vector<std::int8_t>& spins) {
   return std::max(frac, 1.0 - frac);
 }
 
+std::vector<int> run_lengths(const std::vector<std::int8_t>& spins) {
+  const std::size_t n = spins.size();
+  // Run starts: sites whose left neighbour holds the other type.
+  std::vector<std::size_t> starts;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (spins[i] != spins[(i + n - 1) % n]) starts.push_back(i);
+  }
+  if (starts.empty()) return {static_cast<int>(n)};
+  starts.push_back(starts.front() + n);  // closes the last run, wrapped
+  std::vector<int> lengths;
+  for (std::size_t k = 1; k < starts.size(); ++k) {
+    lengths.push_back(static_cast<int>(starts[k] - starts[k - 1]));
+  }
+  return lengths;
+}
+
 }  // namespace seg

@@ -1,7 +1,8 @@
 // Same-type connected-component statistics of a spin configuration:
 // cluster sizes, the largest cluster, the interface length between types,
 // and the complete-segregation predicate used by the paper's corollary
-// ("complete segregation does not occur w.h.p. for p = 1/2").
+// ("complete segregation does not occur w.h.p. for p = 1/2"); plus the
+// run lengths of a 1-D ring.
 #pragma once
 
 #include <cstddef>
@@ -39,5 +40,12 @@ bool completely_segregated(const std::vector<std::int8_t>& spins);
 double majority_fraction(const std::vector<std::int8_t>& spins);
 
 ClusterStats cluster_stats(const SchellingModel& model);
+
+// Lengths of the maximal monochromatic arcs of a ring ("run lengths", the
+// 1-D literature's segregation statistic), where spins[i] neighbours
+// spins[i + 1] and the last spin neighbours spins[0]. Listed from the
+// first run start at or after index 0; they sum to spins.size(), and a
+// monochromatic ring is one run of spins.size().
+std::vector<int> run_lengths(const std::vector<std::int8_t>& spins);
 
 }  // namespace seg

@@ -113,6 +113,22 @@ GraphTopology GraphTopology::torus(int n, const std::vector<Point>& offsets) {
   return g;
 }
 
+GraphTopology GraphTopology::ring(int n, int w) {
+  SEG_ASSERT(w >= 1 && 2 * w + 1 <= n,
+             "ring wants w >= 1 and 2w+1 <= n; got n=" << n << ", w=" << w);
+  GraphTopology g;
+  g.offsets_.resize(static_cast<std::size_t>(n) + 1);
+  g.adj_.resize(static_cast<std::size_t>(n) * (2 * w + 1));
+  std::size_t at = 0;
+  for (int i = 0; i < n; ++i) {
+    for (int d = -w; d <= w; ++d) {
+      g.adj_[at++] = static_cast<std::uint32_t>(torus_wrap(i + d, n));
+    }
+    g.offsets_[i + 1] = at;
+  }
+  return g;
+}
+
 GraphTopology GraphTopology::lollipop(int clique, int path) {
   SEG_ASSERT(clique >= 2 && path >= 1,
              "lollipop wants clique >= 2, path >= 1; got " << clique << ", "

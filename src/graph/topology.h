@@ -15,6 +15,13 @@
 //    wrapped), which is also the span order of the native window engine;
 //    this is what makes torus-as-graph trajectories bitwise identical to
 //    the span fast path (the differential suite pins all six goldens).
+//  * ring(n, w) — the n-cycle where each node sees the 2w+1 nodes within
+//    distance w (self included): the 1-D setting of Brandt et al. [23]
+//    and Barmpalias et al. [24]. Rows are emitted in stencil order
+//    (i + d wrapped, d = -w..w, self in the middle), the 1-D analogue of
+//    torus(). The touch order fixes the set mutation history and hence
+//    the seeded trajectories; the frozen ring hashes in test_ring.cc pin
+//    it, so the 1-D tables of exp_one_dimensional stay reproducible.
 //  * lollipop(clique, path) — a complete clique with a path glued to its
 //    last node (the classic hitting-time pathology; heterogeneous
 //    degrees stress the per-degree membership tables).
@@ -27,9 +34,10 @@
 //  * from_edges / load_edge_list — imported undirected edge lists (e.g.
 //    real street networks).
 //
-// Non-torus rows are sorted ascending (self included at its sorted
-// position); there is no legacy order to preserve off the torus, and
-// sorted rows make trajectories a well-defined function of the edge set.
+// Every other constructor sorts rows ascending (self included at its
+// sorted position); there is no stencil to follow off the torus and the
+// ring, and sorted rows make trajectories a well-defined function of the
+// edge set.
 //
 // All builders produce simple symmetric graphs: validate() checks
 // symmetry, exactly one self entry per row, and no duplicate entries.
@@ -81,6 +89,9 @@ class GraphTopology {
   bool validate(std::string* error = nullptr) const;
 
   static GraphTopology torus(int n, const std::vector<Point>& offsets);
+  // Requires w >= 1 and 2w+1 <= n (a window wrapping onto itself would
+  // list a node twice).
+  static GraphTopology ring(int n, int w);
   static GraphTopology lollipop(int clique, int path);
   static GraphTopology random_regular(int nodes, int degree,
                                       std::uint64_t seed);

@@ -1,6 +1,7 @@
 // Invariant battery for the graph-topology subsystem and the correctness
 // satellites that shipped with it:
-//  * builder invariants — torus rows in stencil order, lollipop degree
+//  * topology invariants — torus and ring rows in stencil order (and the
+//    ring's refusal of windows wider than the ring), lollipop degree
 //    spectrum, random-regular degree exactness, small-world edge
 //    conservation, edge-list round-trips and malformed-input refusal;
 //  * seeded mutation fuzz of the edge-list loader (byte flips,
@@ -27,6 +28,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/checkpoint.h"
@@ -39,6 +41,7 @@
 #include "rng/rng.h"
 #include "util/args.h"
 #include "util/parse.h"
+#include "util/seg_assert.h"
 
 namespace seg {
 namespace {
@@ -63,6 +66,37 @@ TEST(GraphTopologyTest, TorusRowsFollowStencilOrder) {
     }
   }
   EXPECT_TRUE(g.validate());
+}
+
+TEST(GraphTopologyTest, RingRowsFollowStencilOrder) {
+  for (const auto& [n, w] : {std::pair{5, 2}, std::pair{40, 1},
+                            std::pair{40, 6}}) {
+    const GraphTopology g = GraphTopology::ring(n, w);
+    std::string error;
+    ASSERT_TRUE(g.validate(&error)) << error;
+    ASSERT_EQ(g.node_count(), static_cast<std::size_t>(n));
+    EXPECT_EQ(g.edge_count(), static_cast<std::size_t>(n) * w);
+    for (std::uint32_t v = 0; v < g.node_count(); ++v) {
+      const auto [row, len] = g.row(v);
+      ASSERT_EQ(len, 2 * w + 1);
+      for (int d = -w; d <= w; ++d) {
+        ASSERT_EQ(row[d + w],
+                  static_cast<std::uint32_t>(
+                      torus_wrap(static_cast<int>(v) + d, n)))
+            << "n=" << n << " w=" << w << " node " << v << " offset " << d;
+      }
+    }
+  }
+}
+
+TEST(GraphTopologyTest, RingRefusesWindowWiderThanRing) {
+#ifdef SEG_DEBUG_CHECKS
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(GraphTopology::ring(6, 3), "2w\\+1 <= n");
+  EXPECT_DEATH(GraphTopology::ring(8, 0), "w >= 1");
+#else
+  GTEST_SKIP() << "SEG_ASSERT is compiled out of release builds";
+#endif
 }
 
 TEST(GraphTopologyTest, LollipopDegreeSpectrum) {

@@ -1,64 +1,72 @@
-// Tests for the ring Kawasaki (swap) dynamics — the Brandt et al. [23]
-// baseline.
-#include <numeric>
+// Kawasaki (swap) dynamics on the ring — the Brandt et al. [23] baseline —
+// run by the shared run_kawasaki on GraphTopology::ring(n, w).
+#include <memory>
 
 #include <gtest/gtest.h>
 
-#include "core1d/ring_kawasaki.h"
+#include "analysis/clusters.h"
+#include "core/kawasaki.h"
+#include "graph/topology.h"
 
 namespace seg {
 namespace {
 
-std::size_t plus_total(const RingModel& m) {
-  std::size_t c = 0;
-  for (int i = 0; i < m.size(); ++i) c += m.spin(i) > 0;
-  return c;
+std::shared_ptr<const GraphTopology> ring(int n, int w) {
+  return std::make_shared<const GraphTopology>(GraphTopology::ring(n, w));
+}
+
+ModelParams ring_params(double tau) { return {.tau = tau, .p = 0.5}; }
+
+double mean_run_length(const SchellingModel& m) {
+  return static_cast<double>(m.agent_count()) /
+         static_cast<double>(run_lengths(m.spins()).size());
+}
+
+std::vector<std::int8_t> alternating(int n) {
+  std::vector<std::int8_t> spins(n);
+  for (int i = 0; i < n; ++i) spins[i] = (i % 2 == 0) ? 1 : -1;
+  return spins;
 }
 
 TEST(RingKawasaki, SwapImprovesAppliesAndReverts) {
-  // +++---+--- pattern: strays deep inside opposite runs swap happily.
-  RingParams p{.n = 24, .w = 1, .tau = 0.6, .p = 0.5};
+  // +1 arc then -1 arc: strays deep inside opposite arcs swap happily.
   std::vector<std::int8_t> spins(24, 1);
   for (int i = 12; i < 24; ++i) spins[i] = -1;
   spins[6] = -1;   // stray -1 in the +1 arc
   spins[18] = 1;   // stray +1 in the -1 arc
-  RingModel m(p, spins);
+  SchellingModel m(ring_params(0.6), ring(24, 1), spins);
   ASSERT_FALSE(m.is_happy(6));
   ASSERT_FALSE(m.is_happy(18));
-  EXPECT_TRUE(ring_swap_improves(m, 6, 18));
+  EXPECT_TRUE(swap_improves(m, 6, 18));
   EXPECT_EQ(m.spin(6), 1);
   EXPECT_EQ(m.spin(18), -1);
   EXPECT_TRUE(m.check_invariants());
 }
 
 TEST(RingKawasaki, NonImprovingSwapRestoresState) {
-  RingParams p{.n = 16, .w = 2, .tau = 0.9, .p = 0.5};
-  std::vector<std::int8_t> spins(16);
-  for (int i = 0; i < 16; ++i) spins[i] = (i % 2 == 0) ? 1 : -1;
-  RingModel m(p, spins);
+  SchellingModel m(ring_params(0.9), ring(16, 2), alternating(16));
   const auto before = m.spins();
-  EXPECT_FALSE(ring_swap_improves(m, 0, 1));
+  EXPECT_FALSE(swap_improves(m, 0, 1));
   EXPECT_EQ(m.spins(), before);
   EXPECT_TRUE(m.check_invariants());
 }
 
 TEST(RingKawasaki, ConservesTypeCounts) {
-  RingParams p{.n = 512, .w = 2, .tau = 0.5, .p = 0.5};
   Rng init(1);
-  RingModel m(p, init);
-  const std::size_t before = plus_total(m);
+  SchellingModel m(ring_params(0.5), ring(512, 2), init);
+  const std::int64_t before = m.magnetization();
   Rng dyn(2);
-  RingKawasakiOptions opt;
+  KawasakiOptions opt;
   opt.max_swaps = 300;
-  run_ring_kawasaki(m, dyn, opt);
-  EXPECT_EQ(plus_total(m), before);
+  EXPECT_GT(run_kawasaki(m, dyn, opt).swaps, 0u);
+  EXPECT_EQ(m.magnetization(), before);
 }
 
 TEST(RingKawasaki, TerminatesOnUniformRing) {
-  RingParams p{.n = 64, .w = 2, .tau = 0.5, .p = 0.5};
-  RingModel m(p, std::vector<std::int8_t>(64, 1));
+  SchellingModel m(ring_params(0.5), ring(64, 2),
+                   std::vector<std::int8_t>(64, 1));
   Rng dyn(3);
-  const RingKawasakiResult r = run_ring_kawasaki(m, dyn);
+  const KawasakiResult r = run_kawasaki(m, dyn);
   EXPECT_TRUE(r.terminated);
   EXPECT_EQ(r.swaps, 0u);
 }
@@ -69,28 +77,24 @@ TEST(RingKawasaki, StaleCheckCertifiesAbsorption) {
   // no swap improves. (At w = 1 swaps *do* improve: each agent's two
   // neighbors have opposite parity, so the swapped pair ends fully
   // surrounded by its own type.)
-  RingParams p{.n = 32, .w = 2, .tau = 0.9, .p = 0.5};
-  std::vector<std::int8_t> spins(32);
-  for (int i = 0; i < 32; ++i) spins[i] = (i % 2 == 0) ? 1 : -1;
-  RingModel m(p, spins);
+  SchellingModel m(ring_params(0.9), ring(32, 2), alternating(32));
   Rng dyn(4);
-  RingKawasakiOptions opt;
+  KawasakiOptions opt;
   opt.stale_check_after = 50;
-  const RingKawasakiResult r = run_ring_kawasaki(m, dyn, opt);
+  const KawasakiResult r = run_kawasaki(m, dyn, opt);
   EXPECT_TRUE(r.terminated);
   EXPECT_EQ(r.swaps, 0u);
 }
 
 TEST(RingKawasaki, SegregatesAtTauHalf) {
-  RingParams p{.n = 2048, .w = 4, .tau = 0.5, .p = 0.5};
   Rng init(5);
-  RingModel m(p, init);
-  const double before = m.mean_run_length();
+  SchellingModel m(ring_params(0.5), ring(2048, 4), init);
+  const double before = mean_run_length(m);
   Rng dyn(6);
-  RingKawasakiOptions opt;
+  KawasakiOptions opt;
   opt.max_swaps = 100000;
-  run_ring_kawasaki(m, dyn, opt);
-  EXPECT_GT(m.mean_run_length(), before);
+  run_kawasaki(m, dyn, opt);
+  EXPECT_GT(mean_run_length(m), before);
 }
 
 TEST(RingKawasaki, RunLengthGrowsWithW) {
@@ -98,14 +102,13 @@ TEST(RingKawasaki, RunLengthGrowsWithW) {
   // rate, with the window size.
   double prev = 0.0;
   for (const int w : {2, 6}) {
-    RingParams p{.n = 4096, .w = w, .tau = 0.5, .p = 0.5};
     Rng init(10 + w);
-    RingModel m(p, init);
+    SchellingModel m(ring_params(0.5), ring(4096, w), init);
     Rng dyn(20 + w);
-    RingKawasakiOptions opt;
+    KawasakiOptions opt;
     opt.max_swaps = 200000;
-    run_ring_kawasaki(m, dyn, opt);
-    const double len = m.mean_run_length();
+    run_kawasaki(m, dyn, opt);
+    const double len = mean_run_length(m);
     EXPECT_GT(len, prev) << w;
     prev = len;
   }
