@@ -45,7 +45,27 @@ void BM_ModelInit(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n * n);
 }
-BENCHMARK(BM_ModelInit)->Args({256, 4})->Args({256, 10})->Args({512, 10});
+BENCHMARK(BM_ModelInit)
+    ->Args({256, 2})
+    ->Args({256, 4})
+    ->Args({256, 10})
+    ->Args({512, 10});
+
+// Draw plus build through the Rng constructor, the campaign replica's
+// setup path: a fresh Bernoulli(p) field every iteration. {256, 2} is the
+// phase_diagram shape.
+void BM_ModelInitDraw(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int w = static_cast<int>(state.range(1));
+  seg::ModelParams params{.n = n, .w = w, .tau = 0.45, .p = 0.5};
+  seg::Rng rng(1);
+  for (auto _ : state) {
+    seg::SchellingModel model(params, rng);
+    benchmark::DoNotOptimize(model.count_unhappy());
+  }
+  state.SetItemsProcessed(state.iterations() * n * n);
+}
+BENCHMARK(BM_ModelInitDraw)->Args({256, 2})->Args({256, 10});
 
 void BM_Flip(benchmark::State& state) {
   const int w = static_cast<int>(state.range(0));

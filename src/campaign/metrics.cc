@@ -269,10 +269,7 @@ class TopologyCache {
 SchellingModel make_model(const ModelParams& params, const PointGraph* shared,
                           int shards, Rng& init) {
   if (shared) {
-    return SchellingModel(
-        params, shared->graph,
-        random_spins_count(shared->graph->node_count(), params.p, init),
-        shared->partition);
+    return SchellingModel(params, shared->graph, init, shared->partition);
   }
   return shards > 1 ? SchellingModel(params, init,
                                      ShardLayout::stripes(params.n, params.w,

@@ -7,7 +7,7 @@
 namespace seg {
 
 BinarySpinEngine ComfortModel::make_engine(const ComfortParams& params,
-                                           std::vector<std::int8_t> spins) {
+                                           BitField bits) {
   assert(params.valid());
   const int N = params.neighborhood_size();
   const int k_lo = params.k_lo();
@@ -23,13 +23,13 @@ BinarySpinEngine ComfortModel::make_engine(const ComfortParams& params,
   return BinarySpinEngine(params.n, params.w, /*dense_window=*/true,
                           neighborhood_offsets(NeighborhoodShape::kMoore,
                                                params.w),
-                          std::move(spins), std::move(table),
+                          std::move(bits), std::move(table),
                           /*set_count=*/1);
 }
 
 BinarySpinEngine ComfortModel::make_graph_engine(
     const ComfortParams& params, std::shared_ptr<const GraphTopology> graph,
-    std::vector<std::int8_t> spins) {
+    BitField bits) {
   const double tau_lo = params.tau_lo;
   const double tau_hi = params.tau_hi;
   const GraphCodeFn code_of = [tau_lo, tau_hi](int N, bool plus,
@@ -42,20 +42,23 @@ BinarySpinEngine ComfortModel::make_graph_engine(
     const int after = N - same + 1;
     return (after >= k_lo && after <= k_hi) ? (1u << kFlippableSet) : 0;
   };
-  return BinarySpinEngine(std::move(graph), std::move(spins), code_of,
+  return BinarySpinEngine(std::move(graph), std::move(bits), code_of,
                           /*set_count=*/1);
 }
 
 ComfortModel::ComfortModel(const ComfortParams& params, Rng& rng)
-    : ComfortModel(params, random_spins(params.n, params.p, rng)) {}
+    : ComfortModel(params, random_bits(params.n, params.n, params.p, rng)) {}
 
 ComfortModel::ComfortModel(const ComfortParams& params,
                            std::vector<std::int8_t> spins)
+    : ComfortModel(params, BitField(spins, params.n, params.n)) {}
+
+ComfortModel::ComfortModel(const ComfortParams& params, BitField bits)
     : params_(params),
       N_(params.neighborhood_size()),
       k_lo_(params.k_lo()),
       k_hi_(params.k_hi()),
-      engine_(make_engine(params, std::move(spins))) {}
+      engine_(make_engine(params, std::move(bits))) {}
 
 ComfortModel::ComfortModel(const ComfortParams& params,
                            std::shared_ptr<const GraphTopology> graph,
@@ -64,8 +67,9 @@ ComfortModel::ComfortModel(const ComfortParams& params,
       N_(params.neighborhood_size()),
       k_lo_(params.k_lo()),
       k_hi_(params.k_hi()),
-      engine_(make_graph_engine(params, std::move(graph),
-                                std::move(spins))) {}
+      engine_(make_graph_engine(
+          params, graph,
+          BitField(spins, 1, static_cast<int>(graph->node_count())))) {}
 
 std::int8_t ComfortModel::spin_at(int x, int y) const {
   return engine_.spin(engine_.geometry().id_of(x, y));

@@ -119,11 +119,15 @@ class ComfortModel {
   bool check_invariants() const;
 
  private:
+  // The torus construction path both public torus constructors take (see
+  // SchellingModel: the Rng one draws packed, the explicit one packs).
+  ComfortModel(const ComfortParams& params, BitField bits);
+
   static BinarySpinEngine make_engine(const ComfortParams& params,
-                                      std::vector<std::int8_t> spins);
+                                      BitField bits);
   static BinarySpinEngine make_graph_engine(
       const ComfortParams& params, std::shared_ptr<const GraphTopology> graph,
-      std::vector<std::int8_t> spins);
+      BitField bits);
 
   ComfortParams params_;
   int N_;

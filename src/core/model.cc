@@ -1,5 +1,6 @@
 #include "core/model.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "grid/torus_grid.h"
@@ -31,8 +32,24 @@ std::vector<std::int8_t> random_spins_count(std::size_t count, double p,
   return spins;
 }
 
+BitField random_bits(int rows, int cols, double p, Rng& rng) {
+  BitField bits(rows, cols);
+  for (int y = 0; y < rows; ++y) {
+    std::uint64_t* words = bits.row_words(y);
+    for (int x0 = 0; x0 < cols; x0 += 64) {
+      const int len = std::min(64, cols - x0);
+      std::uint64_t word = 0;
+      for (int b = 0; b < len; ++b) {
+        word |= static_cast<std::uint64_t>(rng.uniform() < p) << b;
+      }
+      words[x0 >> 6] = word;
+    }
+  }
+  return bits;
+}
+
 BinarySpinEngine SchellingModel::make_engine(const ModelParams& params,
-                                            std::vector<std::int8_t> spins,
+                                            BitField bits,
                                             ShardLayout layout) {
   assert(params.valid());
   const int N = params.neighborhood_size();
@@ -54,13 +71,13 @@ BinarySpinEngine SchellingModel::make_engine(const ModelParams& params,
   return BinarySpinEngine(params.n, params.w,
                           params.shape == NeighborhoodShape::kMoore,
                           neighborhood_offsets(params.shape, params.w),
-                          std::move(spins), std::move(table),
+                          std::move(bits), std::move(table),
                           /*set_count=*/2, std::move(layout));
 }
 
 BinarySpinEngine SchellingModel::make_graph_engine(
     const ModelParams& params, std::shared_ptr<const GraphTopology> graph,
-    std::vector<std::int8_t> spins, GraphPartition partition) {
+    BitField bits, GraphPartition partition) {
   // Same membership rule as make_engine, but the thresholds are derived
   // per neighborhood-size class: K = ceil(tau * N_v) for the node's own
   // N_v. On a uniform-degree graph (torus-as-graph in particular) this
@@ -80,12 +97,12 @@ BinarySpinEngine SchellingModel::make_graph_engine(
     if (after >= other_threshold) code |= 1u << kFlippableSet;
     return code;
   };
-  return BinarySpinEngine(std::move(graph), std::move(spins), code_of,
+  return BinarySpinEngine(std::move(graph), std::move(bits), code_of,
                           /*set_count=*/2, std::move(partition));
 }
 
 SchellingModel::SchellingModel(const ModelParams& params, Rng& rng)
-    : SchellingModel(params, random_spins(params.n, params.p, rng)) {}
+    : SchellingModel(params, rng, ShardLayout()) {}
 
 SchellingModel::SchellingModel(const ModelParams& params,
                                std::vector<std::int8_t> spins)
@@ -93,34 +110,47 @@ SchellingModel::SchellingModel(const ModelParams& params,
 
 SchellingModel::SchellingModel(const ModelParams& params, Rng& rng,
                                ShardLayout layout)
-    : SchellingModel(params, random_spins(params.n, params.p, rng),
+    : SchellingModel(params, random_bits(params.n, params.n, params.p, rng),
                      std::move(layout)) {}
 
 SchellingModel::SchellingModel(const ModelParams& params,
                                std::vector<std::int8_t> spins,
                                ShardLayout layout)
+    : SchellingModel(params, BitField(spins, params.n, params.n),
+                     std::move(layout)) {}
+
+SchellingModel::SchellingModel(const ModelParams& params, BitField bits,
+                               ShardLayout layout)
     : params_(params),
       N_(params.neighborhood_size()),
       k_plus_(params.happy_threshold_of(+1)),
       k_minus_(params.happy_threshold_of(-1)),
-      engine_(make_engine(params, std::move(spins), std::move(layout))) {}
+      engine_(make_engine(params, std::move(bits), std::move(layout))) {}
 
 SchellingModel::SchellingModel(const ModelParams& params,
                                std::shared_ptr<const GraphTopology> graph,
                                Rng& rng, GraphPartition partition)
     : SchellingModel(params, graph,
-                     random_spins_count(graph->node_count(), params.p, rng),
+                     random_bits(1, static_cast<int>(graph->node_count()),
+                                 params.p, rng),
                      std::move(partition)) {}
 
 SchellingModel::SchellingModel(const ModelParams& params,
                                std::shared_ptr<const GraphTopology> graph,
                                std::vector<std::int8_t> spins,
                                GraphPartition partition)
+    : SchellingModel(params, graph,
+                     BitField(spins, 1, static_cast<int>(graph->node_count())),
+                     std::move(partition)) {}
+
+SchellingModel::SchellingModel(const ModelParams& params,
+                               std::shared_ptr<const GraphTopology> graph,
+                               BitField bits, GraphPartition partition)
     : params_(params),
       N_(params.neighborhood_size()),
       k_plus_(params.happy_threshold_of(+1)),
       k_minus_(params.happy_threshold_of(-1)),
-      engine_(make_graph_engine(params, std::move(graph), std::move(spins),
+      engine_(make_graph_engine(params, std::move(graph), std::move(bits),
                                 std::move(partition))) {}
 
 std::int8_t SchellingModel::spin_at(int x, int y) const {

@@ -35,6 +35,13 @@ class SchellingModel {
   static constexpr int kUnhappySet = 0;
   static constexpr int kFlippableSet = 1;
 
+  // Construction: every constructor builds the engine from one packed
+  // BitField. The Rng constructors draw Bernoulli(p) straight into the
+  // packed words (random_bits: the random_spins draw sequence, so a seed
+  // gives the same field either way). The explicit-field constructors
+  // pack the int8 field and delegate; the pack refuses, in every build
+  // type, a field of the wrong size or with an entry other than +1/-1.
+
   // Random Bernoulli(p) initial configuration.
   SchellingModel(const ModelParams& params, Rng& rng);
 
@@ -58,6 +65,7 @@ class SchellingModel {
   SchellingModel(const ModelParams& params,
                  std::shared_ptr<const GraphTopology> graph, Rng& rng,
                  GraphPartition partition = GraphPartition());
+  // Explicit field of size graph->node_count().
   SchellingModel(const ModelParams& params,
                  std::shared_ptr<const GraphTopology> graph,
                  std::vector<std::int8_t> spins,
@@ -211,12 +219,18 @@ class SchellingModel {
   const std::vector<Point>& offsets() const { return engine_.offsets(); }
 
  private:
+  // The one construction path each public constructor delegates to.
+  SchellingModel(const ModelParams& params, BitField bits,
+                 ShardLayout layout);
+  SchellingModel(const ModelParams& params,
+                 std::shared_ptr<const GraphTopology> graph, BitField bits,
+                 GraphPartition partition);
+
   static BinarySpinEngine make_engine(const ModelParams& params,
-                                      std::vector<std::int8_t> spins,
-                                      ShardLayout layout);
+                                      BitField bits, ShardLayout layout);
   static BinarySpinEngine make_graph_engine(
       const ModelParams& params, std::shared_ptr<const GraphTopology> graph,
-      std::vector<std::int8_t> spins, GraphPartition partition);
+      BitField bits, GraphPartition partition);
 
   ModelParams params_;
   int N_;        // neighborhood size
@@ -227,6 +241,11 @@ class SchellingModel {
 
 // Offset stencil for a shape/horizon pair, (0,0) included.
 std::vector<Point> neighborhood_offsets(NeighborhoodShape shape, int w);
+
+// Draws a packed rows x cols field with P(+1) = p: one rng.uniform() < p
+// per site in row-major order, the draw sequence of random_spins (rows =
+// cols = n) and random_spins_count (one row of `count` sites).
+BitField random_bits(int rows, int cols, double p, Rng& rng);
 
 // Draws a +1/-1 spin field of side n with P(+1) = p.
 std::vector<std::int8_t> random_spins(int n, double p, Rng& rng);

@@ -26,6 +26,9 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 namespace seg {
@@ -55,15 +58,30 @@ class BitField {
     assert(rows > 0 && cols > 0);
   }
 
-  // Packs a row-major +1/-1 spin field (bit set iff spin > 0).
+  // Packs a row-major +1/-1 spin field (bit set iff spin > 0). The field
+  // is caller input, so it is checked in every build type: a size other
+  // than rows * cols, or an entry other than +1/-1, aborts with a message
+  // naming the expected and actual size or the offending index.
   BitField(const std::vector<std::int8_t>& spins, int rows, int cols)
       : BitField(rows, cols) {
-    assert(spins.size() == static_cast<std::size_t>(rows) * cols);
+    const std::size_t want = static_cast<std::size_t>(rows) * cols;
+    if (spins.size() != want) {
+      refuse_field("has " + std::to_string(spins.size()) +
+                   " entries, expected " + std::to_string(want) + " (" +
+                   std::to_string(rows) + " x " + std::to_string(cols) +
+                   ")");
+    }
     for (int y = 0; y < rows; ++y) {
       const std::int8_t* src =
           spins.data() + static_cast<std::size_t>(y) * cols;
       std::uint64_t* dst = words_.data() + row_offset(y);
       for (int x = 0; x < cols; ++x) {
+        if (src[x] != 1 && src[x] != -1) {
+          refuse_field("entry " +
+                       std::to_string(static_cast<std::size_t>(y) * cols + x) +
+                       " is " + std::to_string(src[x]) +
+                       ", not +1 or -1");
+        }
         dst[x >> 6] |= static_cast<std::uint64_t>(src[x] > 0)
                        << (x & 63);
       }
@@ -80,6 +98,9 @@ class BitField {
   const std::uint64_t* row_words(int y) const {
     return words_.data() + row_offset(y);
   }
+  // Writable row words for bulk fills; bits past column cols - 1 must stay
+  // clear.
+  std::uint64_t* row_words(int y) { return words_.data() + row_offset(y); }
 
   bool test(std::uint32_t id) const {
     const std::uint32_t x = id % static_cast<std::uint32_t>(cols_);
@@ -153,6 +174,11 @@ class BitField {
   }
 
  private:
+  [[noreturn]] static void refuse_field(const std::string& what) {
+    std::fprintf(stderr, "BitField: explicit spin field %s\n", what.c_str());
+    std::abort();
+  }
+
   std::size_t row_offset(int y) const {
     return static_cast<std::size_t>(y) * words_per_row_;
   }

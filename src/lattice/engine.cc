@@ -1,12 +1,12 @@
 #include "lattice/engine.h"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <unordered_map>
-
-#include "grid/box_sum.h"
 
 #if SEG_ENGINE_AVX512
 #include <immintrin.h>
@@ -23,6 +23,21 @@ bool cpu_has_avx512bw() {
 }
 #endif
 
+// kSpread[b] holds bit i of byte b in lane i: it widens packed row bits to
+// int16 lanes eight at a time, so count updates are plain lane adds.
+struct ByteLanes {
+  std::int16_t lane[8];
+};
+constexpr std::array<ByteLanes, 256> kSpread = [] {
+  std::array<ByteLanes, 256> spread{};
+  for (int b = 0; b < 256; ++b) {
+    for (int i = 0; i < 8; ++i) {
+      spread[b].lane[i] = static_cast<std::int16_t>((b >> i) & 1);
+    }
+  }
+  return spread;
+}();
+
 // The int16 counts hold kMaxNeighborhoodSize at most. Parameter, spec and
 // edge-list validation refuse larger neighbourhoods with a message; this
 // is the backstop for direct engine users, on in every build type.
@@ -38,8 +53,7 @@ void require_int16_counts(int size, const std::string& who) {
 }  // namespace
 
 BinarySpinEngine::BinarySpinEngine(int n, int w, bool dense_window,
-                                   std::vector<Point> offsets,
-                                   const std::vector<std::int8_t>& spins,
+                                   std::vector<Point> offsets, BitField bits,
                                    MembershipTable table, int set_count,
                                    ShardLayout layout)
     : geometry_(n, w),
@@ -49,11 +63,11 @@ BinarySpinEngine::BinarySpinEngine(int n, int w, bool dense_window,
       set_count_(set_count),
       offsets_(std::move(offsets)),
       table_(std::move(table)),
-      bits_(spins, n),
-      plus_count_(spins.size(), 0),
-      status_(spins.size(), 0) {
+      bits_(std::move(bits)),
+      plus_count_(geometry_.site_count(), 0),
+      status_(geometry_.site_count(), 0) {
   assert(set_count_ >= 1 && set_count_ <= 8);
-  assert(spins.size() == geometry_.site_count());
+  assert(bits_.rows() == n && bits_.cols() == n);
   assert(!dense_window_ ||
          static_cast<int>(offsets_.size()) == geometry_.window_size());
   assert(layout_.compatible(n, w));
@@ -65,13 +79,14 @@ BinarySpinEngine::BinarySpinEngine(int n, int w, bool dense_window,
     // memory stays O(sites) overall (exactly, for stripe layouts).
     const auto [base, extent] = layout_.id_window(i % shard_count_);
     if (extent == 0) {
-      sets_.emplace_back(spins.size());
+      sets_.emplace_back(geometry_.site_count());
     } else {
       sets_.emplace_back(extent, base);
     }
   }
-  init_counts(spins);
+  init_counts();
   init_codes();
+  fill_sets();
   init_breaks();
 #if SEG_ENGINE_AVX512
   simd_kernel_ = dense_window_ && sparse_crossings_ && cpu_has_avx512bw();
@@ -79,9 +94,8 @@ BinarySpinEngine::BinarySpinEngine(int n, int w, bool dense_window,
 }
 
 BinarySpinEngine::BinarySpinEngine(std::shared_ptr<const GraphTopology> graph,
-                                   const std::vector<std::int8_t>& spins,
-                                   const GraphCodeFn& code_of, int set_count,
-                                   GraphPartition partition)
+                                   BitField bits, const GraphCodeFn& code_of,
+                                   int set_count, GraphPartition partition)
     // geometry_ and table_ are torus-path state; graph mode never consults
     // them, but neither type has a default constructor, so both get inert
     // placeholders (the smallest valid window, an empty table).
@@ -91,26 +105,26 @@ BinarySpinEngine::BinarySpinEngine(std::shared_ptr<const GraphTopology> graph,
       sparse_crossings_(false),
       set_count_(set_count),
       table_(0, [](bool, int) { return std::uint8_t{0}; }),
-      bits_(spins, 1, static_cast<int>(spins.size())),
-      plus_count_(spins.size(), 0),
-      status_(spins.size(), 0),
+      bits_(std::move(bits)),
+      plus_count_(static_cast<std::size_t>(bits_.cols()), 0),
+      status_(static_cast<std::size_t>(bits_.cols()), 0),
       graph_(std::move(graph)),
       partition_(std::move(partition)) {
   assert(graph_ != nullptr);
   assert(set_count_ >= 1 && set_count_ <= 8);
-  assert(spins.size() == graph_->node_count());
+  assert(bits_.rows() == 1 &&
+         static_cast<std::size_t>(bits_.cols()) == graph_->node_count());
   assert(partition_.compatible(*graph_));
   for (int k = 0; k < kMaxBreaks; ++k) breaks_[k] = -2;
   // Parts are arbitrary node sets, so a 64-node word may hold two.
-  for (std::uint32_t v = 1; v < spins.size() && !atomic_bits_; ++v) {
+  for (std::uint32_t v = 1; v < size() && !atomic_bits_; ++v) {
     atomic_bits_ = (v & 63) != 0 &&
                    partition_.part_of(v) != partition_.part_of(v - 1);
   }
-  init_graph(code_of, spins);
+  init_graph(code_of);
 }
 
-void BinarySpinEngine::init_graph(const GraphCodeFn& code_of,
-                                  const std::vector<std::int8_t>& spins) {
+void BinarySpinEngine::init_graph(const GraphCodeFn& code_of) {
   const std::size_t nodes = graph_->node_count();
   // One membership table per distinct neighborhood size. Uniform-degree
   // graphs get exactly one, so the per-touch cost matches the torus path
@@ -137,18 +151,15 @@ void BinarySpinEngine::init_graph(const GraphCodeFn& code_of,
     sets_.emplace_back(nodes);
   }
   for (std::uint32_t v = 0; v < nodes; ++v) {
-    assert(spins[v] == 1 || spins[v] == -1);
     const auto [row, len] = graph_->row(v);
     std::int32_t plus = 0;
-    for (int i = 0; i < len; ++i) plus += spins[row[i]] > 0;
+    for (int i = 0; i < len; ++i) plus += bits_.flat_test(row[i]);
     plus_count_[v] = static_cast<std::int16_t>(plus);
+    status_[v] = class_tables_[table_of_[v]].code(bits_.flat_test(v), plus);
   }
-  // Ascending id, matching the torus init_codes order, so initial set
-  // contents are permutation-identical between the two modes.
-  for (std::uint32_t v = 0; v < nodes; ++v) {
-    apply_code(v, class_tables_[table_of_[v]].code(spins[v] > 0,
-                                                   plus_count_[v]));
-  }
+  // Ascending id, as on the torus, so initial set contents are
+  // permutation-identical between the two modes.
+  fill_sets();
 }
 
 void BinarySpinEngine::init_breaks() {
@@ -165,40 +176,106 @@ void BinarySpinEngine::init_breaks() {
   }
 }
 
-void BinarySpinEngine::init_counts(const std::vector<std::int8_t>& spins) {
-  std::vector<std::int32_t> plus_indicator(spins.size());
-  for (std::size_t i = 0; i < spins.size(); ++i) {
-    assert(spins[i] == 1 || spins[i] == -1);
-    plus_indicator[i] = spins[i] > 0 ? 1 : 0;
-  }
+void BinarySpinEngine::init_counts() {
   const int n = geometry_.side();
-  std::vector<std::int32_t> counts;
-  if (dense_window_) {
-    // Separable sliding-window box sum, O(n^2) independent of w.
-    counts = box_sum_torus(plus_indicator, n, geometry_.radius());
-  } else {
-    // Generic stencil: one cache-friendly shifted-add pass per offset,
-    // O(n^2 N) at construction only.
-    counts.assign(spins.size(), 0);
-    for (const Point o : offsets_) {
-      for (int y = 0; y < n; ++y) {
-        const std::size_t src_row =
-            static_cast<std::size_t>(torus_wrap(y + o.y, n)) * n;
-        std::int32_t* dst = counts.data() + static_cast<std::size_t>(y) * n;
-        for (int x = 0; x < n; ++x) {
-          dst[x] += plus_indicator[src_row + torus_wrap(x + o.x, n)];
+  const int w = geometry_.radius();
+  // Row y + dy with |dy| <= w < n, wrapped at the row level only.
+  const auto wrap_row = [n](int y) {
+    return y < 0 ? y + n : y >= n ? y - n : y;
+  };
+  // lanes[x] += sign * bit x of row y, over whole words: `lanes` spans
+  // words_per_row() * 64 entries, and padding bits are zero.
+  const auto add_row = [&](std::int16_t* lanes, int y, std::int16_t sign) {
+    const std::uint64_t* words = bits_.row_words(wrap_row(y));
+    for (int wi = 0; wi < bits_.words_per_row(); ++wi) {
+      for (int k = 0; k < 8; ++k) {
+        const ByteLanes& add = kSpread[(words[wi] >> (8 * k)) & 0xffu];
+        std::int16_t* out = lanes + wi * 64 + k * 8;
+        for (int i = 0; i < 8; ++i) {
+          out[i] = static_cast<std::int16_t>(out[i] + sign * add.lane[i]);
         }
       }
     }
+  };
+  const std::size_t lane_count =
+      static_cast<std::size_t>(bits_.words_per_row()) * 64;
+  if (dense_window_) {
+    // Separable box sum, O(n^2) independent of w. column[x] is the +1
+    // count of column x over rows y-w..y+w, kept by a running sum; row y's
+    // counts are a horizontal sliding sum over those column sums,
+    // wrap-padded by w on both sides.
+    std::vector<std::int16_t> column(lane_count, 0);
+    std::vector<std::int16_t> padded(static_cast<std::size_t>(n) + 2 * w);
+    for (int dy = -w; dy <= w; ++dy) add_row(column.data(), dy, 1);
+    for (int y = 0; y < n; ++y) {
+      std::copy(column.begin(), column.begin() + n, padded.begin() + w);
+      std::copy(column.begin() + n - w, column.begin() + n, padded.begin());
+      std::copy(column.begin(), column.begin() + w, padded.begin() + w + n);
+      std::int16_t* out =
+          plus_count_.data() + static_cast<std::size_t>(y) * n;
+      std::int16_t sum = 0;
+      for (int i = 0; i <= 2 * w; ++i) sum += padded[i];
+      out[0] = sum;
+      for (int x = 1; x < n; ++x) {
+        sum += padded[x + 2 * w] - padded[x - 1];
+        out[x] = sum;
+      }
+      add_row(column.data(), y + w + 1, 1);
+      add_row(column.data(), y - w, -1);
+    }
+    return;
   }
-  plus_count_.assign(counts.begin(), counts.end());
+  // Generic stencil: every row widened once to int16 lanes, wrap-padded by
+  // w on both sides, then one shifted add per offset — O(n^2 N) at
+  // construction only, with no per-element wrap.
+  const std::size_t row_stride = lane_count + 2 * w;
+  std::vector<std::int16_t> widened(row_stride * n, 0);
+  for (int y = 0; y < n; ++y) {
+    std::int16_t* row = widened.data() + row_stride * y;
+    add_row(row + w, y, 1);
+    std::copy(row + n, row + n + w, row);
+    std::copy(row + w, row + 2 * w, row + w + n);
+  }
+  for (const Point o : offsets_) {
+    assert(o.x >= -w && o.x <= w && o.y >= -w && o.y <= w);
+    for (int y = 0; y < n; ++y) {
+      const std::int16_t* src = widened.data() +
+                                row_stride * wrap_row(y + o.y) + w + o.x;
+      std::int16_t* dst =
+          plus_count_.data() + static_cast<std::size_t>(y) * n;
+      for (int x = 0; x < n; ++x) dst[x] += src[x];
+    }
+  }
 }
 
 void BinarySpinEngine::init_codes() {
-  const std::uint8_t* tbl = table_.data();
-  const std::size_t sites = size();
-  for (std::uint32_t id = 0; id < sites; ++id) {
-    apply_code(id, tbl[table_.spin_offset(spin(id)) + plus_count(id)]);
+  const int n = geometry_.side();
+  // Code tables by spin bit: [0] for -1 sites, [1] for +1 sites.
+  const std::uint8_t* by_bit[2] = {
+      table_.data() + table_.spin_offset(-1),
+      table_.data() + table_.spin_offset(+1)};
+  for (int y = 0; y < n; ++y) {
+    const std::uint64_t* words = bits_.row_words(y);
+    const std::size_t row = static_cast<std::size_t>(y) * n;
+    for (int x0 = 0; x0 < n; x0 += 64) {
+      const std::uint64_t word = words[x0 >> 6];
+      const std::int16_t* count = plus_count_.data() + row + x0;
+      std::uint8_t* code = status_.data() + row + x0;
+      const int len = std::min(64, n - x0);
+      for (int b = 0; b < len; ++b) {
+        code[b] = by_bit[(word >> b) & 1u][count[b]];
+      }
+    }
+  }
+}
+
+void BinarySpinEngine::fill_sets() {
+  for (int s = 0; s < set_count_; ++s) {
+    for (int shard = 0; shard < shard_count_; ++shard) {
+      sets_[s * shard_count_ + shard].fill_ascending(
+          status_.data(), static_cast<std::uint8_t>(1u << s),
+          [&](std::uint32_t id) { return site_shard(id) == shard; });
+    }
   }
 }
 

@@ -14,6 +14,24 @@
 // Torus and graph mode share it; the torus is an n x n bit field, graph
 // nodes one flat row.
 //
+// Construction: a packed BitField is the one thing an engine is built from
+// (models draw it straight into words, or pack and check an explicit
+// field). The torus build is three passes over the packed rows:
+//  * counts — a vertical running sum of the row bits per column, then a
+//    horizontal sliding sum over each wrap-padded row of column sums,
+//    written straight into the int16 counts (a non-dense stencil instead
+//    adds one shifted, wrap-padded widened row per offset);
+//  * codes — one row-wise table lookup per site;
+//  * sets — one ascending bulk fill per set slice
+//    (AgentSet::fill_ascending). insert() appends and records the
+//    position, so inserting every member in ascending id leaves items()
+//    ascending with each position its rank; the fill writes exactly
+//    that, which keeps sampling (and the golden hashes) identical to an
+//    insert-built set. A site lands in its owning shard's slice, so each
+//    stripe or checkerboard slice holds its own sites in ascending order.
+// Graph mode counts each CSR row off the flat bits and shares the code
+// and set passes.
+//
 // Trajectory compatibility: sites are visited in the legacy stencil
 // order and set mutations are applied in ascending set index, which
 // reproduces the pre-engine refresh_membership() mutation sequence
@@ -106,22 +124,22 @@ class BinarySpinEngine {
   // `offsets` is the full stencil including (0,0). When `dense_window` is
   // true the stencil must be the full (2w+1)^2 Moore window and flips take
   // the span fast path; otherwise (e.g. von Neumann) flips walk the
-  // offsets with wrapped indexing. Spins must be +1/-1, size n*n, and the
-  // stencil at most kMaxNeighborhoodSize sites (refused otherwise).
+  // offsets with wrapped indexing. `bits` is the n x n field; the stencil
+  // holds at most kMaxNeighborhoodSize sites (refused otherwise), every
+  // offset inside the radius-w box.
   // `layout` must be trivial or partition the same torus with margin w.
   BinarySpinEngine(int n, int w, bool dense_window,
-                   std::vector<Point> offsets,
-                   const std::vector<std::int8_t>& spins,
+                   std::vector<Point> offsets, BitField bits,
                    MembershipTable table, int set_count,
                    ShardLayout layout = ShardLayout());
 
-  // Graph mode: spins live on `graph`'s nodes (size node_count()), and
-  // `code_of` defines the membership rule per neighborhood-size class.
+  // Graph mode: spins live on `graph`'s nodes (`bits` is the 1 x
+  // node_count() field), and `code_of` defines the membership rule per
+  // neighborhood-size class.
   // `partition` plays the ShardLayout role (default: trivial, serial).
   // Every neighbourhood must fit kMaxNeighborhoodSize (refused otherwise).
   BinarySpinEngine(std::shared_ptr<const GraphTopology> graph,
-                   const std::vector<std::int8_t>& spins,
-                   const GraphCodeFn& code_of,
+                   BitField bits, const GraphCodeFn& code_of,
                    int set_count, GraphPartition partition = GraphPartition());
 
   int side() const { return geometry_.side(); }
@@ -220,11 +238,11 @@ class BinarySpinEngine {
   // dispatches a 4-compare kernel when the union fits in 4.
   static constexpr int kMaxBreaks = 8;
 
-  void init_counts(const std::vector<std::int8_t>& spins);
+  void init_counts();
   void init_codes();
+  void fill_sets();
   void init_breaks();
-  void init_graph(const GraphCodeFn& code_of,
-                  const std::vector<std::int8_t>& spins);
+  void init_graph(const GraphCodeFn& code_of);
   void flip_impl(std::uint32_t id);
   void flip_graph(std::uint32_t id);
 

@@ -151,7 +151,7 @@ TEST(BinarySpinEngine, RandomFlipsKeepInvariants) {
   });
   BinarySpinEngine engine(n, w, /*dense_window=*/true,
                           neighborhood_offsets(NeighborhoodShape::kMoore, w),
-                          spins, std::move(table), 2);
+                          BitField(spins, n), std::move(table), 2);
   ASSERT_TRUE(engine.check_invariants());
   for (int step = 0; step < 500; ++step) {
     const auto id =
@@ -174,7 +174,7 @@ TEST(BinarySpinEngine, DenseFallbackHandlesManyBoundaries) {
   });
   BinarySpinEngine engine(n, w, /*dense_window=*/true,
                           neighborhood_offsets(NeighborhoodShape::kMoore, w),
-                          spins, std::move(table), 1);
+                          BitField(spins, n), std::move(table), 1);
   ASSERT_TRUE(engine.check_invariants());
   for (int step = 0; step < 300; ++step) {
     const auto id =
@@ -195,7 +195,7 @@ TEST(BinarySpinEngine, GenericStencilPathKeepsInvariants) {
     return same < 6 ? 1 : 0;
   });
   BinarySpinEngine engine(n, w, /*dense_window=*/false, std::move(offsets),
-                          spins, std::move(table), 1);
+                          BitField(spins, n), std::move(table), 1);
   ASSERT_TRUE(engine.check_invariants());
   for (int step = 0; step < 300; ++step) {
     const auto id =
