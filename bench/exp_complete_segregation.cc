@@ -7,6 +7,7 @@
 //     critical initial density p* < 1 above which the dynamics fixate on
 //     the all-majority state. We sweep p at tau = 1/2 and locate the
 //     finite-size fixation threshold.
+#include <cstdint>
 #include <cstdio>
 
 #include "analysis/clusters.h"
@@ -26,7 +27,7 @@ struct FixationResult {
   double majority_fraction_mean = 0.0;
 };
 
-// shards <= 1 runs the serial engine (bitwise the legacy trajectories);
+// shards == 1 runs the serial engine (bitwise the legacy trajectories);
 // shards > 1 runs each trial through the sharded sweep engine
 // (core/parallel_dynamics.h), which makes n >= 1024 sweeps practical.
 FixationResult measure(int n, int w, double tau, double p,
@@ -67,8 +68,15 @@ int main(int argc, char** argv) {
   const int w = static_cast<int>(args.get_int("w", 2));
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 8));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 21));
-  const int shards = static_cast<int>(args.get_int("shards", 1));
+  const std::int64_t shards_arg = args.get_int("shards", 1);
   if (!args.check_usage({"n", "w", "trials", "seed", "shards"})) return 1;
+  // One stripe per row at most: a larger count would be clamped.
+  if (shards_arg < 1 || shards_arg > n) {
+    std::fprintf(stderr, "--shards %lld: need 1 <= --shards <= --n (%d)\n",
+                 static_cast<long long>(shards_arg), n);
+    return 1;
+  }
+  const int shards = static_cast<int>(shards_arg);
 
   std::printf("== (A) No complete segregation at p = 1/2 (corollary of the "
               "exponential upper bound) ==\n");

@@ -10,6 +10,7 @@
 // events — serially as an engine observer, sharded via the per-shard
 // event logs — so per-panel measurement is O(1) instead of an O(n^2)
 // rescan (only the mono-ball column still runs a distance transform).
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <sys/stat.h>
@@ -50,9 +51,16 @@ int main(int argc, char** argv) {
   params.tau = args.get_double("tau", 0.42);
   params.p = 0.5;
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2017));
-  const int shards = static_cast<int>(args.get_int("shards", 1));
+  const std::int64_t shards_arg = args.get_int("shards", 1);
   const std::string out_dir = args.get_string("out", "out_fig1");
   if (!args.check_usage({"n", "w", "tau", "seed", "shards", "out"})) return 1;
+  // One stripe per row at most: a larger count would be clamped.
+  if (shards_arg < 1 || shards_arg > params.n) {
+    std::fprintf(stderr, "--shards %lld: need 1 <= --shards <= --n (%d)\n",
+                 static_cast<long long>(shards_arg), params.n);
+    return 1;
+  }
+  const int shards = static_cast<int>(shards_arg);
   ::mkdir(out_dir.c_str(), 0755);
 
   std::printf("== Figure 1: segregation dynamics, tau=%.2f, %dx%d, N=%d, "

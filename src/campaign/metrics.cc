@@ -237,7 +237,7 @@ struct PointGraph {
 class TopologyCache {
  public:
   const PointGraph& get(const ScenarioSpec& spec, const ScenarioPoint& point,
-                        int shards) {
+                        std::size_t shards) {
     PointGraph* slot = nullptr;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -246,13 +246,22 @@ class TopologyCache {
     std::call_once(slot->built, [&] {
       std::string why;
       slot->graph = build_topology(spec, point, &why);
+      // ScenarioSpec::valid() bounds shards by every synthetic graph's
+      // node count; a loaded edge list is first counted here.
+      if (slot->graph && shards > slot->graph->node_count()) {
+        why = "shards = " + std::to_string(shards) +
+              " exceeds its node count: at most " +
+              std::to_string(slot->graph->node_count());
+        slot->graph = nullptr;
+      }
       if (!slot->graph) {
         // Reported once; every replica of the point returns the NaN row.
         std::fprintf(stderr,
                      "campaign: point %zu: cannot build %s topology: %s\n",
                      point.index, topology_name(point.topology), why.c_str());
       } else if (shards > 1) {
-        slot->partition = GraphPartition::greedy_bfs(*slot->graph, shards);
+        slot->partition = GraphPartition::greedy_bfs(
+            *slot->graph, static_cast<int>(shards));
       }
     });
     return *slot;
@@ -313,7 +322,7 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
     // init or measurement streams.
     const bool sharded =
         spec.shards > 1 && point.dynamics == DynamicsKind::kGlauber;
-    const int shards = sharded ? static_cast<int>(spec.shards) : 1;
+    const std::size_t shards = sharded ? spec.shards : 1;
     // Non-torus points run over the point's shared GraphTopology with
     // per-node thresholds; everything after model construction is shared.
     const PointGraph* shared = nullptr;
@@ -322,7 +331,8 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
       if (!shared->graph) return std::vector<double>(fns.size(), nan_metric());
     }
     Rng init = Rng::stream(replica_seed, 0);
-    SchellingModel model = make_model(point.params, shared, shards, init);
+    SchellingModel model =
+        make_model(point.params, shared, static_cast<int>(shards), init);
     // The streaming_* metrics read the final state, except the
     // magnetization autocorrelation, which reads samples taken every
     // `sample_every` flips. A sharded run takes those mid-sweep on its

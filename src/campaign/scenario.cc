@@ -258,6 +258,33 @@ const std::vector<SpecKey>& key_table() {
 #undef SPEC_KEY
 #undef FIELD
 
+// The most shards a point of `family` at side `side` can take: one row
+// per torus stripe, one node per graph part. 0 for edge_list, whose node
+// count is known only once the file loads (the campaign's topology cache
+// refuses it there).
+std::size_t shard_limit(const ScenarioSpec& spec, TopologyFamily family,
+                        int side, std::string* what) {
+  const std::string at = " at n = " + std::to_string(side);
+  const std::size_t sites = static_cast<std::size_t>(side) * side;
+  switch (family) {
+    case TopologyFamily::kTorus:
+      *what = "the torus side" + at;
+      return static_cast<std::size_t>(side);
+    case TopologyFamily::kLollipop:
+      *what = "the lollipop node count (graph_clique + graph_path)";
+      return static_cast<std::size_t>(spec.graph_clique) + spec.graph_path;
+    case TopologyFamily::kRandomRegular:
+      *what = "the random_regular node count" + at;
+      return spec.graph_nodes > 0 ? spec.graph_nodes : sites;
+    case TopologyFamily::kSmallWorld:
+      *what = "the small_world node count" + at;
+      return sites;
+    case TopologyFamily::kEdgeList:
+      break;
+  }
+  return 0;
+}
+
 }  // namespace
 
 const char* dynamics_name(DynamicsKind kind) { return enum_name(kind); }
@@ -364,6 +391,19 @@ bool ScenarioSpec::valid_for_columns(const std::vector<std::string>& columns,
                     "invalid point (n=%d, w=%d, tau=%g, p=%g)", pt.params.n,
                     pt.params.w, pt.params.tau, pt.params.p);
       return fail(error, buf);
+    }
+  }
+  if (shards > 1) {
+    for (const TopologyFamily f : topology) {
+      for (const int side : n) {
+        std::string what;
+        const std::size_t limit = shard_limit(*this, f, side, &what);
+        if (limit > 0 && shards > limit) {
+          return fail(error, "shards = " + std::to_string(shards) +
+                                 " exceeds " + what + ": at most " +
+                                 std::to_string(limit));
+        }
+      }
     }
   }
   return true;

@@ -89,9 +89,10 @@ struct ScenarioSpec {
   // Lattice shards per replica (stripe decomposition,
   // core/parallel_dynamics.h). 1 = the serial engines, bitwise the
   // legacy trajectories; > 1 runs Glauber replicas through the sharded
-  // sweep engine (other dynamics kinds ignore it). Part of the spec —
-  // and the checkpoint hash — because the k-shard process is a distinct
-  // deterministic trajectory per k.
+  // sweep engine (other dynamics kinds ignore it). At most every torus
+  // point's side and every graph point's node count; valid() refuses
+  // more. Part of the spec — and the checkpoint hash — because the
+  // k-shard process is a distinct deterministic trajectory per k.
   std::size_t shards = 1;
 
   // Per-replica run controls.

@@ -151,7 +151,6 @@ class SchellingModel {
   // models, in which case unhappy_set(0)/flippable_set(0) are the
   // classic global sets.
   int shard_count() const { return engine_.shard_count(); }
-  const ShardLayout& shard_layout() const { return engine_.layout(); }
   const AgentSet& unhappy_set(int shard) const {
     return engine_.set(kUnhappySet, shard);
   }

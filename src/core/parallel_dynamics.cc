@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <thread>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "analysis/streaming.h"
-#include "core/kawasaki.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "util/seg_assert.h"
@@ -23,19 +20,6 @@ std::size_t pool_width(std::size_t requested, int shards) {
     width = std::max(1u, std::thread::hardware_concurrency());
   }
   return std::min(width, static_cast<std::size_t>(shards));
-}
-
-// Per-shard unhappy split into +1 / -1 classes; the Kawasaki proposal
-// loop terminates a shard when either class is empty (mirrors the serial
-// engine's unhappy_partition).
-std::pair<std::size_t, std::size_t> shard_unhappy_partition(
-    const SchellingModel& model, int shard) {
-  std::size_t plus = 0;
-  const AgentSet& unhappy = model.unhappy_set(shard);
-  for (const std::uint32_t id : unhappy.items()) {
-    plus += model.spin(id) > 0;
-  }
-  return {plus, unhappy.size() - plus};
 }
 
 }  // namespace
@@ -183,203 +167,6 @@ ParallelRunResult run_parallel_glauber(SchellingModel& model,
   }
 
   result.terminated = model.terminated();
-  return result;
-}
-
-ParallelKawasakiResult run_parallel_kawasaki(
-    SchellingModel& model, std::uint64_t seed,
-    const ParallelKawasakiOptions& options) {
-  const int k = model.shard_count();
-
-  struct ShardState {
-    Rng rng;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> queue;
-    std::uint64_t swaps = 0;      // this sweep
-    std::uint64_t proposals = 0;  // this sweep
-    std::uint64_t deferred = 0;   // this sweep
-    std::uint64_t consecutive_rejects = 0;  // persists across sweeps
-    bool absorbed = false;        // one unhappy class empty this sweep
-    bool certified = false;       // 1-shard mid-loop exact test passed
-  };
-  std::vector<ShardState> shards;
-  shards.reserve(k);
-  for (int s = 0; s < k; ++s) {
-    shards.push_back(ShardState{Rng::stream(seed, s), {}, 0, 0, 0, 0,
-                                false, false});
-  }
-
-  const std::uint64_t quantum =
-      options.proposal_quantum > 0
-          ? options.proposal_quantum
-          : std::max<std::uint64_t>(512, model.agent_count() /
-                                             static_cast<std::uint64_t>(k));
-
-  ThreadPool pool(pool_width(options.threads, k), "shards");
-  ParallelKawasakiResult result;
-
-  while (result.swaps < options.max_swaps &&
-         result.sweeps < options.max_sweeps) {
-    SEG_TRACE_SPAN("kawasaki_sweep");
-    SEG_TIMED("phase.kawasaki_sweep_us");
-    const std::uint64_t swap_budget = options.max_swaps - result.swaps;
-
-    parallel_for(pool, static_cast<std::size_t>(k), [&](std::size_t si) {
-      SEG_TRACE_SPAN("phase_a_shard");
-      SEG_TIMED("phase.shard_a_us");
-      const int s = static_cast<int>(si);
-      ShardState& st = shards[si];
-      st.absorbed = false;
-      auto [plus_unhappy, minus_unhappy] =
-          shard_unhappy_partition(model, s);
-      while (st.proposals < quantum && st.swaps < swap_budget) {
-        if (plus_unhappy == 0 || minus_unhappy == 0) {
-          st.absorbed = true;
-          break;
-        }
-        const AgentSet& unhappy = model.unhappy_set(s);
-        const std::uint32_t a = unhappy.sample(st.rng);
-        const std::uint32_t b = unhappy.sample(st.rng);
-        ++st.proposals;
-        if (model.spin(a) == model.spin(b)) continue;
-        if (model.shard_boundary(a) || model.shard_boundary(b)) {
-          st.queue.emplace_back(a, b);
-          ++st.deferred;
-          continue;
-        }
-        // Both endpoints interior to this shard: the tentative swap and
-        // its possible revert touch only shard-local state.
-        if (swap_improves(model, a, b)) {
-          ++st.swaps;
-          st.consecutive_rejects = 0;
-          std::tie(plus_unhappy, minus_unhappy) =
-              shard_unhappy_partition(model, s);
-          continue;
-        }
-        ++st.consecutive_rejects;
-        if (k == 1) {
-          // Single shard: run the serial engine's mid-stream exact
-          // absorption test at the same cadence, so the 1-shard run
-          // terminates on the same proposal as run_kawasaki.
-          if (st.consecutive_rejects >= options.stale_check_after &&
-              st.consecutive_rejects % options.stale_check_after == 0 &&
-              !improving_swap_exists(model)) {
-            st.certified = true;
-            break;
-          }
-          if (options.max_consecutive_rejects > 0 &&
-              st.consecutive_rejects >= options.max_consecutive_rejects) {
-            break;
-          }
-        }
-      }
-    });
-
-    bool all_absorbed = true;
-    std::uint64_t sweep_progress = 0;
-    std::uint64_t sweep_swaps = 0, sweep_proposals = 0, sweep_deferred = 0;
-    std::int64_t queue_depth = 0;
-    for (ShardState& st : shards) {
-      result.swaps += st.swaps;
-      result.proposals += st.proposals;
-      result.deferred += st.deferred;
-      sweep_progress += st.swaps;
-      sweep_swaps += st.swaps;
-      sweep_proposals += st.proposals;
-      sweep_deferred += st.deferred;
-      queue_depth += static_cast<std::int64_t>(st.queue.size());
-      st.swaps = 0;
-      st.proposals = 0;
-      st.deferred = 0;
-      all_absorbed &= st.absorbed;
-      if (st.certified) result.terminated = true;
-    }
-    SEG_COUNT("dynamics.swaps", sweep_swaps);
-    SEG_COUNT("dynamics.proposals", sweep_proposals);
-    SEG_COUNT("dynamics.deferred", sweep_deferred);
-    SEG_GAUGE_SET("dynamics.conflict_queue_depth", queue_depth);
-    SEG_TRACE_COUNTER("conflict_queue_depth", queue_depth);
-
-    // Phase B: serial reconciliation of boundary pairs in shard order. A
-    // rejected deferred pair counts toward its shard's consecutive
-    // rejections — otherwise a shard whose remaining pairs all touch a
-    // boundary could defer-and-fail every sweep without ever tripping
-    // the stale or give-up exits below.
-    const std::uint64_t reconciled_before = result.reconciled;
-    {
-      SEG_TRACE_SPAN("reconcile");
-      SEG_TIMED("phase.reconcile_us");
-      for (ShardState& st : shards) {
-        std::unordered_set<std::uint64_t> seen;  // same pair drawn twice
-        for (const auto& [a, b] : st.queue) {
-          SEG_ASSERT(model.shard_boundary(a) || model.shard_boundary(b),
-                     "interior pair (" << a << ", " << b
-                                       << ") reached the conflict queue");
-          const std::uint64_t key =
-              (static_cast<std::uint64_t>(a) << 32) | b;
-          if (!seen.insert(key).second) continue;  // duplicate this sweep
-          // Re-validate the full serial proposal rule against the current
-          // global state: an earlier reconciled (or same-shard interior)
-          // swap may have flipped an endpoint's type or made it happy —
-          // and the serial dynamics never relocates a happy agent.
-          if (model.spin(a) != model.spin(b) && model.in_unhappy_set(a) &&
-              model.in_unhappy_set(b) && swap_improves(model, a, b)) {
-            ++result.swaps;
-            ++result.reconciled;
-            ++sweep_progress;
-            st.consecutive_rejects = 0;
-          } else {
-            ++st.consecutive_rejects;
-          }
-        }
-        st.queue.clear();
-      }
-      SEG_COUNT("dynamics.swaps", result.reconciled - reconciled_before);
-      SEG_COUNT("dynamics.reconciled",
-                result.reconciled - reconciled_before);
-    }
-    ++result.sweeps;
-
-    if (result.terminated) break;  // 1-shard certified mid-loop
-    if (sweep_progress > 0) continue;  // real progress: keep sweeping
-    if (all_absorbed) {
-      // No shard can propose an opposite-type unhappy pair and nothing
-      // reconciled: the sharded dynamics has no reachable move left.
-      // `terminated` is a *certificate* of global absorption, though, so
-      // distinguish it from the cross-shard-only regime (each shard
-      // one-class-empty but opposite-type pairs spanning shards remain).
-      if (!improving_swap_exists(model)) {
-        result.terminated = true;
-      } else {
-        result.gave_up = true;
-      }
-      break;
-    }
-    // Stale / give-up exits, evaluated after phase B so reconciliation
-    // failures count. An absorbed shard cannot act at all, so it must
-    // not hold back the exits of the shards that still can.
-    bool all_stale = true;
-    bool all_exhausted = options.max_consecutive_rejects > 0;
-    for (const ShardState& st : shards) {
-      all_stale &= st.absorbed ||
-                   st.consecutive_rejects >= options.stale_check_after;
-      all_exhausted &=
-          st.absorbed ||
-          st.consecutive_rejects >= options.max_consecutive_rejects;
-    }
-    if (all_stale && !improving_swap_exists(model)) {
-      // Exact global certificate (all shard slices scanned, tentative
-      // swaps reverted): genuinely absorbed.
-      result.terminated = true;
-      break;
-    }
-    // Improving swaps may exist but be cross-shard (unreachable for
-    // this dynamics); the give-up cap bounds that regime.
-    if (all_exhausted) {
-      result.gave_up = true;
-      break;
-    }
-  }
-
   return result;
 }
 

@@ -1,39 +1,37 @@
-// Sharded parallel dynamics: Glauber and Kawasaki sweeps of ONE large
-// lattice decomposed into shards (lattice/sharded.h) and driven across the
-// util/thread_pool workers.
+// Sharded parallel dynamics: Glauber sweeps of ONE large lattice
+// decomposed into shards (row stripes, lattice/sharded.h, or a graph
+// partition, graph/partition.h) and driven across the util/thread_pool
+// workers.
 //
-// Algorithm (both engines): time advances in *sweeps*. In phase A every
-// shard, in parallel, runs the serial proposal loop restricted to its own
-// sub-lattice — sampling from its shard-local flippable/unhappy set with
-// its own splitmix-derived RNG substream (Rng::stream(seed, shard), the
-// campaign engine's scheme) and applying moves whose whole interaction
-// window is interior to the shard directly on the shared engine. A draw
-// that lands within `w` of a shard boundary is *deferred*: the site (or
-// swap pair) goes into the shard's conflict queue and, for Glauber, ends
-// the shard's phase A (the stripe is blocked on its boundary). Phase B is
-// a serial, deterministic reconciliation pass: queues drain in ascending
-// shard order, every deferred move is re-validated against the current
-// global state (it may have been invalidated by an earlier reconciled
-// move) and applied iff still legal. Counts, codes, and set memberships
-// therefore stay exact at every step — the ShardLayout isolation
-// guarantee makes phase A race-free and phase B makes cross-boundary
-// effects serial.
+// Algorithm: time advances in *sweeps*. In phase A every shard, in
+// parallel, runs the serial Glauber loop restricted to its own
+// sub-lattice — sampling from its shard-local flippable set with its own
+// splitmix-derived RNG substream (Rng::stream(seed, shard), the campaign
+// engine's scheme) and applying flips whose whole interaction window is
+// interior to the shard directly on the shared engine. A draw that lands
+// within `w` of a shard boundary is *deferred*: the site goes into the
+// shard's conflict queue and ends the shard's phase A (the stripe is
+// blocked on its boundary). Phase B is a serial, deterministic
+// reconciliation pass: queues drain in ascending shard order, every
+// deferred flip is re-validated against the current global state (it may
+// have been invalidated by an earlier reconciled flip) and applied iff
+// still legal. Counts, codes, and set memberships therefore stay exact at
+// every step — the ShardLayout isolation guarantee makes phase A
+// race-free and phase B makes cross-boundary effects serial.
 //
 // Determinism contract: for a fixed shard count the trajectory — spins,
-// flip/swap counts, Poisson clocks — is a pure function of the seed,
-// bitwise identical at ANY thread count (each shard's phase A depends
-// only on its own state and substream; the fold and reconciliation run in
-// shard order). With ONE shard there is no boundary, phase A is the
-// serial proposal loop verbatim, and the run is bitwise identical to
-// run_glauber / run_kawasaki driven by Rng::stream(seed, 0) — the
-// differential tests pin this.
+// flip counts, Poisson clocks — is a pure function of the seed, bitwise
+// identical at ANY thread count (each shard's phase A depends only on its
+// own state and substream; the fold and reconciliation run in shard
+// order). With ONE shard there is no boundary, phase A is the serial
+// Glauber loop verbatim, and the run is bitwise identical to run_glauber
+// driven by Rng::stream(seed, 0) — the differential tests pin this.
 //
 // Semantics at k > 1: this is a domain-decomposed variant of the paper's
 // process (shards ring concurrently, one Poisson clock per shard
 // subsystem), not a reordering of the serial chain. Flippable-only flips
 // keep the Lyapunov function strictly increasing, so parallel Glauber
-// absorbs exactly like the serial process; Kawasaki swaps conserve the
-// type counts exactly, with proposals restricted to intra-shard pairs.
+// absorbs exactly like the serial process.
 #pragma once
 
 #include <cstdint>
@@ -93,38 +91,6 @@ struct ParallelRunResult {
 ParallelRunResult run_parallel_glauber(SchellingModel& model,
                                        std::uint64_t seed,
                                        const ParallelOptions& options = {});
-
-struct ParallelKawasakiOptions {
-  std::size_t threads = 0;
-  std::uint64_t max_swaps = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t max_sweeps = std::numeric_limits<std::uint64_t>::max();
-  // Proposals per shard per sweep; 0 = auto (max(512, sites / shards)).
-  std::uint64_t proposal_quantum = 0;
-  // Per-shard consecutive-rejection threshold: once EVERY shard is past
-  // it, the exact global absorption test runs between sweeps (same
-  // certificate as run_kawasaki).
-  std::uint64_t stale_check_after = 5000;
-  // Give up (gave_up = true) once every shard is past this; 0 disables.
-  std::uint64_t max_consecutive_rejects = 2'000'000;
-};
-
-struct ParallelKawasakiResult {
-  std::uint64_t swaps = 0;       // applied swaps, reconciled included
-  std::uint64_t proposals = 0;
-  std::uint64_t deferred = 0;    // boundary pairs queued for phase B
-  std::uint64_t reconciled = 0;  // deferred swaps applied in phase B
-  std::uint64_t sweeps = 0;
-  bool terminated = false;  // certified: no improving swap exists
-  bool gave_up = false;
-};
-
-// Conserved-magnetization swap sweeps. Proposals are intra-shard (each
-// shard samples opposite-type unhappy pairs from its own sub-set); pairs
-// touching a boundary defer to the serial reconciliation pass. One shard
-// reproduces run_kawasaki's proposal stream bitwise.
-ParallelKawasakiResult run_parallel_kawasaki(
-    SchellingModel& model, std::uint64_t seed,
-    const ParallelKawasakiOptions& options = {});
 
 // Adapter for drivers and the campaign layer that consume the serial
 // RunResult shape (sweeps map onto `rounds`).

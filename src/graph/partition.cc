@@ -65,10 +65,4 @@ GraphPartition GraphPartition::greedy_bfs(const GraphTopology& graph,
   return p;
 }
 
-std::size_t GraphPartition::boundary_site_count() const {
-  std::size_t count = 0;
-  for (const std::uint8_t b : boundary_) count += b;
-  return count;
-}
-
 }  // namespace seg

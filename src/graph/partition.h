@@ -1,6 +1,6 @@
 // Balanced graph partitions for sharded dynamics on arbitrary topologies.
 //
-// The stripe/checkerboard ShardLayout cuts only make sense on the torus;
+// The ShardLayout row stripes only make sense on the torus;
 // on a general graph the equivalent object is a balanced vertex partition
 // with a boundary classification: a node is INTERIOR to its part iff the
 // node and every neighbor live in the same part, so a flip there writes
@@ -38,8 +38,6 @@ class GraphPartition {
   bool boundary(std::uint32_t v) const {
     return trivial() ? false : boundary_[v];
   }
-
-  std::size_t boundary_site_count() const;
 
   // True iff this partition labels every node of `graph`.
   bool compatible(const GraphTopology& graph) const {

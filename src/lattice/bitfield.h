@@ -10,13 +10,13 @@
 // per-access division.
 //
 // Concurrency: the sharded sweep engine flips interior sites of distinct
-// shards from different threads. Distinct sites can share a word when a
-// checkerboard layout cuts columns at a non-64-aligned offset, or when
-// graph parts interleave within 64 consecutive node ids, so the engine
-// switches those flips to the atomic variants (a relaxed fetch-xor).
-// All reads go through relaxed atomic loads, which compile to plain MOVs
-// on every target we build for — zero cost serially, and no torn/UB reads
-// next to a concurrent fetch-xor on the same word.
+// shards from different threads. Torus stripes own whole rows, and rows
+// never share a word, so those flips stay plain xors. Graph parts can
+// interleave within 64 consecutive node ids, so the engine switches those
+// flips to flat_flip_atomic (a relaxed fetch-xor). All reads go through
+// relaxed atomic loads, which compile to plain MOVs on every target we
+// build for — zero cost serially, and no torn/UB reads next to a
+// concurrent fetch-xor on the same word.
 //
 // SEG_NO_POPCNT (CMake option) replaces std::popcount with a portable
 // SWAR reduction for targets without a popcount instruction; the CI
@@ -109,12 +109,6 @@ class BitField {
   std::int8_t spin(std::uint32_t id) const { return test(id) ? 1 : -1; }
 
   void flip(std::uint32_t id) { words_[word_index(id)] ^= bit_of(id); }
-  // Relaxed fetch-xor for flips whose word may be shared with another
-  // shard's concurrent flip (see the concurrency note above).
-  void flip_atomic(std::uint32_t id) {
-    __atomic_fetch_xor(&words_[word_index(id)], bit_of(id),
-                       __ATOMIC_RELAXED);
-  }
 
   // One-row fields only: the same operations indexed by position in the
   // row, without the row/column split.
@@ -126,6 +120,8 @@ class BitField {
     return flat_test(i) ? 1 : -1;
   }
   void flat_flip(std::uint32_t i) { words_[i >> 6] ^= 1ull << (i & 63u); }
+  // Relaxed fetch-xor for flips whose word may be shared with another
+  // graph part's concurrent flip (see the concurrency note above).
   void flat_flip_atomic(std::uint32_t i) {
     __atomic_fetch_xor(&words_[i >> 6], 1ull << (i & 63u), __ATOMIC_RELAXED);
   }

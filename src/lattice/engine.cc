@@ -72,11 +72,10 @@ BinarySpinEngine::BinarySpinEngine(int n, int w, bool dense_window,
          static_cast<int>(offsets_.size()) == geometry_.window_size());
   assert(layout_.compatible(n, w));
   require_int16_counts(window_size(), "every site");
-  atomic_bits_ = !layout_.trivial() && layout_.splits_aligned_columns(64);
   sets_.reserve(static_cast<std::size_t>(set_count_) * shard_count_);
   for (int i = 0; i < set_count_ * shard_count_; ++i) {
-    // Each shard slice spans only its shard's id window, so sharded set
-    // memory stays O(sites) overall (exactly, for stripe layouts).
+    // Each shard slice spans only its shard's rows, so sharded set
+    // memory stays O(sites) overall.
     const auto [base, extent] = layout_.id_window(i % shard_count_);
     if (extent == 0) {
       sets_.emplace_back(geometry_.site_count());
@@ -341,11 +340,7 @@ void BinarySpinEngine::flip_impl(std::uint32_t id) {
     return;
   }
   const std::int32_t delta = bits_.test(id) ? -1 : +1;
-  if (atomic_bits_) {
-    bits_.flip_atomic(id);
-  } else {
-    bits_.flip(id);
-  }
+  bits_.flip(id);
 #if SEG_ENGINE_AVX512
   if (simd_kernel_) {
     flip_avx512(id, delta);

@@ -28,7 +28,7 @@
 //    ascending with each position its rank; the fill writes exactly
 //    that, which keeps sampling (and the golden hashes) identical to an
 //    insert-built set. A site lands in its owning shard's slice, so each
-//    stripe or checkerboard slice holds its own sites in ascending order.
+//    stripe slice holds its own sites in ascending order.
 // Graph mode counts each CSR row off the flat bits and shares the code
 // and set passes.
 //
@@ -44,10 +44,9 @@
 // counts, codes, sub-sets), which is what lets the parallel sweep engine
 // (core/parallel_dynamics.h) run interior flips of distinct shards
 // concurrently without locks. With the default trivial layout the engine
-// is bit-for-bit the serial engine. Two shards can share a 64-bit spin
-// word when a checkerboard layout cuts columns off 64-bit alignment; the
-// engine detects that at construction and routes those flips through
-// atomic fetch-xor.
+// is bit-for-bit the serial engine. Stripes own whole rows and every row
+// starts a fresh 64-bit spin word, so torus flips of distinct shards never
+// share a word and stay plain xors.
 //
 // Graph mode: the second constructor takes a GraphTopology (graph/) in
 // place of the torus geometry. Neighborhood iteration becomes a CSR row
@@ -59,8 +58,8 @@
 // entry, which on a torus-built graph is the exact legacy touch order, so
 // torus-as-graph trajectories are bitwise identical to the native span
 // engine (the graph differential suite pins all golden hashes). When
-// partition parts interleave within a 64-node word, flips go through the
-// same atomic fetch-xor as checkerboard layouts. Everything downstream —
+// partition parts interleave within a 64-node word, flips go through an
+// atomic fetch-xor (BitField::flat_flip_atomic). Everything downstream —
 // agent sets, observers, the parallel sweep engine — works unchanged
 // because flips at partition-interior nodes still write only their own
 // part's storage.
@@ -153,7 +152,6 @@ class BinarySpinEngine {
   bool graph_mode() const { return graph_ != nullptr; }
   // Null in torus mode.
   const GraphTopology* graph() const { return graph_.get(); }
-  const GraphPartition& partition() const { return partition_; }
   // Per-node stencil size (self included): the membership-threshold N for
   // node `id`. Uniform and equal to window_size() in torus mode.
   int neighborhood_size(std::uint32_t id) const {
@@ -161,7 +159,7 @@ class BinarySpinEngine {
   }
   // True iff a flip at `id` can write another shard's storage — the
   // question the parallel sweep engine asks, unified across both
-  // sharding schemes (stripe/checkerboard layouts and graph partitions).
+  // sharding schemes (torus stripes and graph partitions).
   bool shard_boundary(std::uint32_t id) const {
     return graph_ ? partition_.boundary(id) : layout_.boundary(id);
   }
@@ -188,7 +186,6 @@ class BinarySpinEngine {
   AgentSet& set(int s) { return sets_[s * shard_count_]; }
 
   int shard_count() const { return shard_count_; }
-  const ShardLayout& layout() const { return layout_; }
   const AgentSet& set(int s, int shard) const {
     return sets_[s * shard_count_ + shard];
   }
@@ -321,10 +318,9 @@ class BinarySpinEngine {
   int shard_count_;
   bool dense_window_;
   bool sparse_crossings_;
-  // Route bit flips through atomic fetch-xor because some 64-bit word
-  // holds sites of two shards (a checkerboard column cut off
-  // 64-alignment, or graph parts interleaved within 64 node ids) and
-  // phase-A flips may hit it concurrently.
+  // Graph mode only: route bit flips through atomic fetch-xor because
+  // graph parts interleave within some 64-node word and phase-A flips may
+  // hit it concurrently. Torus stripes never share a word.
   bool atomic_bits_ = false;
   // Dense + sparse-crossings + cpuid(avx512bw): flips route to
   // flip_avx512.

@@ -10,10 +10,12 @@
 // reproduce the *frozen golden trajectory hashes* captured from the
 // pre-packing byte engine — the packed engine is not "close to" it, it is
 // bit-for-bit the same dynamical system. Layer 4 drives sharded engines
-// (4-stripe and checkerboard layouts, the latter exercising the atomic
-// shared-word bit flips) through the same arbitrary flip sequence as a
-// trivial-layout engine, and a mutation fuzz with full recount audits.
+// (4 torus stripes, and a 4-part graph partition whose parts share
+// 64-node words, exercising the atomic shared-word bit flips) through the
+// same arbitrary flip sequence as a trivial-layout engine, and a mutation
+// fuzz with full recount audits.
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -24,6 +26,8 @@
 #include "core/kawasaki.h"
 #include "core/model.h"
 #include "golden_fixtures.h"
+#include "graph/partition.h"
+#include "graph/topology.h"
 #include "lattice/bitfield.h"
 #include "lattice/halo_field.h"
 #include "lattice/sharded.h"
@@ -115,11 +119,7 @@ TEST(BitField, FlipAndAssignKeepPaddingClear) {
     const auto id =
         static_cast<std::uint32_t>(rng.uniform_below(std::uint64_t(n) * n));
     const bool was_plus = bits.test(id);
-    if (rng.bernoulli(0.5)) {
-      bits.flip(id);
-    } else {
-      bits.flip_atomic(id);
-    }
+    bits.flip(id);
     plus += was_plus ? -1 : 1;
     ASSERT_EQ(bits.test(id), !was_plus);
     // count_all sums raw words: any bit leaked into row padding breaks it.
@@ -283,47 +283,67 @@ TEST(PackedDifferential, AsymVonNeumannReproducesGolden) {
 
 // ---- Layer 4: sharded layouts and mutation fuzz ----
 
-TEST(PackedDifferential, ShardedLayoutsMatchTrivialLayoutFlipForFlip) {
-  // n = 36 with a 3x3 checkerboard cuts columns at 12/24 — off 64-bit
-  // alignment, so shards share spin words and the engine routes those
-  // flips through the atomic fetch-xor path. After every flip the sharded
-  // engine must hold the trivial-layout engine's spin, count and code at
-  // the flipped site, and its per-shard sets must partition the serial
-  // ones.
-  ModelParams params{.n = 36, .w = 2, .tau = 0.45, .p = 0.5};
-  for (const bool checkers : {false, true}) {
-    const ShardLayout layout =
-        checkers ? ShardLayout::checkerboard(params.n, params.w, 3, 3)
-                 : ShardLayout::stripes(params.n, params.w, 4);
-    Rng spin_rng(41001);
-    const auto spins = random_spins(params.n, 0.5, spin_rng);
-    SchellingModel serial(params, spins);
-    SchellingModel sharded(params, spins, layout);
-    ASSERT_EQ(sharded.shard_count(), checkers ? 9 : 4);
-    Rng rng(41002 + checkers);
-    for (int step = 0; step < 6000; ++step) {
-      const auto id = static_cast<std::uint32_t>(
-          rng.uniform_below(serial.agent_count()));
-      serial.flip(id);
-      sharded.flip(id);
-      ASSERT_EQ(sharded.spin(id), serial.spin(id)) << "step " << step;
-      ASSERT_EQ(sharded.plus_count(id), serial.plus_count(id))
-          << "step " << step;
-    }
-    ASSERT_TRUE(sharded.check_invariants());
-    ASSERT_TRUE(serial.check_invariants());
-    EXPECT_EQ(sharded.spins(), serial.spins());
-    EXPECT_EQ(sharded.count_unhappy(), serial.count_unhappy());
-    std::size_t unhappy = 0;
-    for (int s = 0; s < sharded.shard_count(); ++s) {
-      unhappy += sharded.unhappy_set(s).size();
-    }
-    EXPECT_EQ(unhappy, serial.unhappy_set().size());
-    for (std::uint32_t id = 0; id < serial.agent_count(); ++id) {
-      ASSERT_EQ(sharded.plus_count(id), serial.plus_count(id)) << id;
-      ASSERT_EQ(sharded.in_unhappy_set(id), serial.in_unhappy_set(id)) << id;
-    }
+// Drives `serial` (trivial layout) and `sharded` through the same
+// arbitrary flip sequence. After every flip the sharded engine must hold
+// the serial engine's spin and count at the flipped site; at the end its
+// per-shard sets must partition the serial ones.
+void expect_flip_for_flip(SchellingModel& serial, SchellingModel& sharded,
+                          std::uint64_t seed) {
+  Rng rng(seed);
+  for (int step = 0; step < 6000; ++step) {
+    const auto id = static_cast<std::uint32_t>(
+        rng.uniform_below(serial.agent_count()));
+    serial.flip(id);
+    sharded.flip(id);
+    ASSERT_EQ(sharded.spin(id), serial.spin(id)) << "step " << step;
+    ASSERT_EQ(sharded.plus_count(id), serial.plus_count(id))
+        << "step " << step;
   }
+  ASSERT_TRUE(sharded.check_invariants());
+  ASSERT_TRUE(serial.check_invariants());
+  EXPECT_EQ(sharded.spins(), serial.spins());
+  EXPECT_EQ(sharded.count_unhappy(), serial.count_unhappy());
+  std::size_t unhappy = 0;
+  for (int s = 0; s < sharded.shard_count(); ++s) {
+    unhappy += sharded.unhappy_set(s).size();
+  }
+  EXPECT_EQ(unhappy, serial.unhappy_set().size());
+  for (std::uint32_t id = 0; id < serial.agent_count(); ++id) {
+    ASSERT_EQ(sharded.plus_count(id), serial.plus_count(id)) << id;
+    ASSERT_EQ(sharded.in_unhappy_set(id), serial.in_unhappy_set(id)) << id;
+  }
+}
+
+TEST(PackedDifferential, ShardedLayoutsMatchTrivialLayoutFlipForFlip) {
+  // Torus stripes: whole rows per shard, plain bit flips.
+  ModelParams params{.n = 36, .w = 2, .tau = 0.45, .p = 0.5};
+  Rng spin_rng(41001);
+  const auto spins = random_spins(params.n, 0.5, spin_rng);
+  SchellingModel serial(params, spins);
+  SchellingModel striped(params, spins,
+                         ShardLayout::stripes(params.n, params.w, 4));
+  ASSERT_EQ(striped.shard_count(), 4);
+  expect_flip_for_flip(serial, striped, 41002);
+
+  // Graph parts: greedy BFS over a random regular graph scatters each
+  // part across node ids, so parts share 64-node spin words and the
+  // engine routes those flips through the atomic fetch-xor path.
+  const auto graph = std::make_shared<const GraphTopology>(
+      GraphTopology::random_regular(512, 8, /*seed=*/41003));
+  const GraphPartition partition = GraphPartition::greedy_bfs(*graph, 4);
+  bool shared_word = false;
+  for (std::uint32_t v = 1; v < graph->node_count(); ++v) {
+    shared_word |= (v & 63) != 0 &&
+                   partition.part_of(v) != partition.part_of(v - 1);
+  }
+  ASSERT_TRUE(shared_word) << "no 64-node word holds two parts";
+  Rng graph_rng(41004);
+  const auto graph_spins =
+      random_spins_count(graph->node_count(), 0.5, graph_rng);
+  SchellingModel graph_serial(params, graph, graph_spins);
+  SchellingModel graph_parts(params, graph, graph_spins, partition);
+  ASSERT_EQ(graph_parts.shard_count(), 4);
+  expect_flip_for_flip(graph_serial, graph_parts, 41005);
 }
 
 TEST(PackedFuzz, ArbitraryFlipsKeepPackedInvariants) {

@@ -99,6 +99,56 @@ TEST(Scenario, ShardsRoundTripAndDefaultKeepsLegacyHash) {
   EXPECT_FALSE(ScenarioSpec::parse("shards = 0\n", &back, &error));
 }
 
+TEST(Scenario, ShardsAboveSideOrNodeCountAreRefused) {
+  // One stripe per torus row and one part per graph node at most; valid()
+  // names the key, the value and the limit of the smallest point.
+  std::string error;
+  ScenarioSpec torus = small_spec();
+  torus.n = {24, 16};
+  torus.shards = 16;
+  EXPECT_TRUE(torus.valid(&error)) << error;
+  torus.shards = 17;
+  EXPECT_FALSE(torus.valid(&error));
+  EXPECT_EQ(error, "shards = 17 exceeds the torus side at n = 16: at most 16");
+
+  ScenarioSpec lollipop = small_spec();
+  lollipop.topology = {TopologyFamily::kLollipop};
+  lollipop.graph_clique = 2;
+  lollipop.graph_path = 2;
+  lollipop.metrics = {"flips", "majority"};
+  lollipop.shards = 4;
+  EXPECT_TRUE(lollipop.valid(&error)) << error;
+  lollipop.shards = 10;
+  EXPECT_FALSE(lollipop.valid(&error));
+  EXPECT_EQ(error,
+            "shards = 10 exceeds the lollipop node count (graph_clique + "
+            "graph_path): at most 4");
+
+  ScenarioSpec regular = small_spec();
+  regular.topology = {TopologyFamily::kRandomRegular};
+  regular.n = {8};
+  regular.graph_degree = 3;
+  regular.metrics = {"flips", "majority"};
+  regular.shards = 64;
+  EXPECT_TRUE(regular.valid(&error)) << error;
+  regular.shards = 65;
+  EXPECT_FALSE(regular.valid(&error));
+  EXPECT_EQ(error,
+            "shards = 65 exceeds the random_regular node count at n = 8: at "
+            "most 64");
+  regular.graph_nodes = 10;
+  regular.shards = 11;
+  EXPECT_FALSE(regular.valid(&error));
+  EXPECT_NE(error.find("at most 10"), std::string::npos) << error;
+
+  // The same refusal through the spec text.
+  ScenarioSpec parsed;
+  EXPECT_FALSE(ScenarioSpec::parse("n = 16\nshards = 1000\n", &parsed,
+                                   &error));
+  EXPECT_EQ(error,
+            "shards = 1000 exceeds the torus side at n = 16: at most 16");
+}
+
 TEST(Scenario, ParseRejectsUnknownMetricAndKey) {
   ScenarioSpec spec;
   std::string error;

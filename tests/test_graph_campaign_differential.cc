@@ -11,8 +11,9 @@
 //  3. An edge-list point keeps producing the rows a freshly loaded
 //     topology gives after its file is deleted behind the campaign's back
 //     following the point's first replica: the file is read once.
-//  4. An edge-list file that cannot be loaded is reported once per point,
-//     and every replica of the point still returns the NaN row.
+//  4. An edge-list file that cannot be loaded, or that has fewer nodes
+//     than the spec's shards, is reported once per point, and every
+//     replica of the point still returns the NaN row.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -79,6 +80,25 @@ void write_edge_list(const std::string& path) {
     for (const int step : {1, 2, 7}) {
       out << v << ' ' << (v + step) % kNodes << '\n';
     }
+  }
+}
+
+std::size_t count_of(const std::string& log, const std::string& what) {
+  std::size_t count = 0;
+  for (std::size_t at = log.find(what); at != std::string::npos;
+       at = log.find(what, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+// Every replica of every point returned the NaN row.
+void expect_nan_rows(const ScenarioSpec& spec, const CampaignResult& result) {
+  for (std::size_t p = 0; p < result.points.size(); ++p) {
+    const RunningStats* flips = result.stats_for(p, "flips");
+    ASSERT_NE(flips, nullptr);
+    EXPECT_EQ(flips->count(), spec.replicas);
+    EXPECT_TRUE(std::isnan(flips->mean()));
   }
 }
 
@@ -155,19 +175,43 @@ TEST(GraphCampaignDifferential, MissingEdgeListReportedOncePerPoint) {
   const CampaignResult result = run_campaign(spec, kCampaignSeed, options);
   const std::string log = ::testing::internal::GetCapturedStderr();
   EXPECT_TRUE(result.complete);
-  std::size_t reports = 0;
-  for (std::size_t at = log.find("cannot build edge_list topology");
-       at != std::string::npos;
-       at = log.find("cannot build edge_list topology", at + 1)) {
-    ++reports;
+  EXPECT_EQ(count_of(log, "cannot build edge_list topology"), 2u) << log;
+  expect_nan_rows(spec, result);
+}
+
+TEST(GraphCampaignDifferential, EdgeListSmallerThanShardsReportedOncePerPoint) {
+  // valid() cannot count an edge list's nodes; the topology cache refuses
+  // a shard count above it when the file loads, like a failed load.
+  const std::string path =
+      ::testing::TempDir() + "graph_campaign_three_nodes.txt";
+  {
+    std::ofstream out(path);
+    out << "0 1\n1 2\n";
   }
-  EXPECT_EQ(reports, 2u) << log;
-  for (std::size_t p = 0; p < result.points.size(); ++p) {
-    const RunningStats* flips = result.stats_for(p, "flips");
-    ASSERT_NE(flips, nullptr);
-    EXPECT_EQ(flips->count(), spec.replicas);
-    EXPECT_TRUE(std::isnan(flips->mean()));
-  }
+  ScenarioSpec spec;
+  spec.name = "edge_list_too_few_nodes";
+  spec.n = {16};
+  spec.w = {1};
+  spec.tau = {0.4, 0.45};
+  spec.topology = {TopologyFamily::kEdgeList};
+  spec.graph_file = path;
+  spec.replicas = 5;
+  spec.shards = 4;
+  spec.metrics = {"flips", "majority"};
+  std::string why;
+  ASSERT_TRUE(spec.valid(&why)) << why;
+  CampaignOptions options;
+  options.threads = 4;
+  ::testing::internal::CaptureStderr();
+  const CampaignResult result = run_campaign(spec, kCampaignSeed, options);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  std::filesystem::remove(path);
+  EXPECT_TRUE(result.complete);
+  EXPECT_EQ(count_of(log, "cannot build edge_list topology: shards = 4 "
+                          "exceeds its node count: at most 3"),
+            2u)
+      << log;
+  expect_nan_rows(spec, result);
 }
 
 }  // namespace

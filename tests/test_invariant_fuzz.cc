@@ -16,6 +16,7 @@
 // at the first corrupt update instead of leaving the divergence to a
 // later audit.
 #include <cstdint>
+#include <memory>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,8 @@
 #include "core/model.h"
 #include "core/parallel_dynamics.h"
 #include "core/vacancy.h"
+#include "graph/partition.h"
+#include "graph/topology.h"
 #include "lattice/sharded.h"
 #include "multitype/multi_model.h"
 #include "rng/rng.h"
@@ -78,14 +81,20 @@ TEST(InvariantFuzz, SchellingArbitraryFlips) {
 TEST(InvariantFuzz, ShardedEngineArbitraryFlips) {
   // Arbitrary serial flips over sharded engines — boundary sites
   // included — must keep every membership in its owning shard's slice
-  // (the audit cross-checks all shard slices per site).
+  // (the audit cross-checks all shard slices per site). Torus stripes,
+  // and a graph partition whose parts share 64-node spin words (atomic
+  // bit flips).
   ModelParams params{.n = 36, .w = 2, .tau = 0.45, .p = 0.5};
-  for (const bool checkers : {false, true}) {
-    const ShardLayout layout =
-        checkers ? ShardLayout::checkerboard(params.n, params.w, 3, 3)
-                 : ShardLayout::stripes(params.n, params.w, 4);
-    Rng rng(32001 + checkers);
-    SchellingModel model(params, rng, layout);
+  const auto graph = std::make_shared<const GraphTopology>(
+      GraphTopology::random_regular(512, 8, /*seed=*/32003));
+  for (const bool on_graph : {false, true}) {
+    Rng rng(32001 + on_graph);
+    SchellingModel model =
+        on_graph ? SchellingModel(params, graph, rng,
+                                  GraphPartition::greedy_bfs(*graph, 4))
+                 : SchellingModel(params, rng,
+                                  ShardLayout::stripes(params.n, params.w, 4));
+    ASSERT_EQ(model.shard_count(), 4);
     ASSERT_TRUE(model.check_invariants());
     for (int step = 0; step < kSteps; ++step) {
       model.flip(static_cast<std::uint32_t>(

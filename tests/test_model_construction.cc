@@ -4,7 +4,7 @@
 // recount of every stencil row and ascending AgentSet::insert calls — and
 // requires identical counts, codes, set items() sequences and membership,
 // for Moore and von Neumann windows, asymmetric thresholds, the comfort
-// band, stripe and checkerboard layouts, and graph partitions. It also pins
+// band, stripe layouts, and graph partitions. It also pins
 // the Rng constructors to the random_spins draw sequence and the loud
 // refusal of malformed explicit fields.
 #include <cstdint>
@@ -197,8 +197,8 @@ TEST(ModelConstruction, ComfortBand) {
   }
 }
 
-// Each shard slice holds its own sites, ascending; checkerboard cuts at
-// 65 and 130 leave column bands off 64-bit alignment.
+// Each stripe slice holds its own sites, ascending, at even and uneven
+// stripe heights.
 TEST(ModelConstruction, ShardLayoutsKeepSliceOrder) {
   for (const int n : {63, 64, 65, 130}) {
     for (const int w : {1, 2, 5}) {
@@ -208,7 +208,7 @@ TEST(ModelConstruction, ShardLayoutsKeepSliceOrder) {
           expect_schelling_engine(n, w, shape, p,
                                   ShardLayout::stripes(n, w, 3));
           expect_schelling_engine(n, w, shape, p,
-                                  ShardLayout::checkerboard(n, w, 2, 3));
+                                  ShardLayout::stripes(n, w, 7));
         }
       }
     }

@@ -1,10 +1,10 @@
-// Differential battery for the sharded parallel dynamics
-// (core/parallel_dynamics.h over lattice/sharded.h).
+// Differential battery for the sharded parallel Glauber dynamics
+// (core/parallel_dynamics.h over the row stripes of lattice/sharded.h).
 //
 // The contract under test, from strongest to weakest:
 //  1. ONE shard is the serial process, bitwise: same flips, same RNG
-//     consumption, same Poisson clock as run_glauber / run_kawasaki
-//     driven by Rng::stream(seed, 0). Uses the golden-trajectory fixture
+//     consumption, same Poisson clock as run_glauber driven by
+//     Rng::stream(seed, 0). Uses the golden-trajectory fixture
 //     parameters (test_golden_trajectory.cc) so the serial side is itself
 //     pinned by the golden constants.
 //  2. For a FIXED shard count, the trajectory is bitwise identical at any
@@ -15,11 +15,11 @@
 //     route through the conflict queue, and the absorbing states are
 //     genuine (no flippable agent remains).
 #include <cstring>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "core/dynamics.h"
-#include "core/kawasaki.h"
 #include "core/model.h"
 #include "core/parallel_dynamics.h"
 #include "lattice/sharded.h"
@@ -51,7 +51,6 @@ TEST(ShardLayout, TrivialLayoutHasOneShardAndNoBoundary) {
   ShardLayout layout;
   EXPECT_EQ(layout.shard_count(), 1);
   EXPECT_TRUE(layout.trivial());
-  EXPECT_EQ(layout.boundary_site_count(), 0u);
   EXPECT_EQ(layout.shard_of(123), 0);
   EXPECT_FALSE(layout.boundary(123));
   EXPECT_TRUE(layout.compatible(48, 3));
@@ -65,16 +64,56 @@ TEST(ShardLayout, StripesPartitionAndClassify) {
   EXPECT_FALSE(layout.compatible(n, w + 1));
   // Stripes of height 8: rows 0..7 -> shard 0, etc. Boundary rows are the
   // first and last w rows of each stripe.
+  std::size_t boundary_sites = 0;
   for (int y = 0; y < n; ++y) {
     for (int x = 0; x < n; ++x) {
       const auto id = static_cast<std::uint32_t>(y * n + x);
       EXPECT_EQ(layout.shard_of(id), y / 8);
       const int within = y % 8;
       EXPECT_EQ(layout.boundary(id), within < w || within >= 8 - w);
+      boundary_sites += layout.boundary(id);
     }
   }
-  EXPECT_EQ(layout.boundary_site_count(),
-            static_cast<std::size_t>(k * 2 * w * n));
+  EXPECT_EQ(boundary_sites, static_cast<std::size_t>(k * 2 * w * n));
+  // Each shard's id window is exactly its rows.
+  for (int s = 0; s < k; ++s) {
+    const auto [base, extent] = layout.id_window(s);
+    EXPECT_EQ(base, static_cast<std::uint32_t>(s * 8 * n));
+    EXPECT_EQ(extent, static_cast<std::uint32_t>(8 * n));
+  }
+}
+
+TEST(ShardLayout, StripesOfUnevenHeightCoverEveryRow) {
+  // n = 10 over 3 stripes: rows [0, 3), [3, 6), [6, 10); at w = 1 only the
+  // first and last row of each stripe is boundary. n = 7 over 7 stripes:
+  // one row each, every row boundary.
+  const ShardLayout three = ShardLayout::stripes(10, 1, 3);
+  const int want_shard[] = {0, 0, 0, 1, 1, 1, 2, 2, 2, 2};
+  const bool want_boundary[] = {true, false, true,  true,  false,
+                                true, true,  false, false, true};
+  for (int y = 0; y < 10; ++y) {
+    const auto id = static_cast<std::uint32_t>(y * 10 + 4);
+    EXPECT_EQ(three.shard_of(id), want_shard[y]) << "row " << y;
+    EXPECT_EQ(three.boundary(id), want_boundary[y]) << "row " << y;
+  }
+  EXPECT_EQ(three.id_window(2),
+            (std::pair<std::uint32_t, std::uint32_t>{60, 40}));
+  const ShardLayout rows = ShardLayout::stripes(7, 1, 7);
+  for (std::uint32_t id = 0; id < 49; ++id) {
+    EXPECT_EQ(rows.shard_of(id), static_cast<int>(id / 7));
+    EXPECT_TRUE(rows.boundary(id));
+  }
+}
+
+TEST(ShardLayout, StripesRefuseShardCountsOutsideOneToN) {
+#ifdef SEG_DEBUG_CHECKS
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(ShardLayout::stripes(16, 1, 17), "shards=17, n=16");
+  EXPECT_DEATH(ShardLayout::stripes(16, 1, 0), "1 <= shards <= n");
+  EXPECT_DEATH(ShardLayout::stripes(16, 1, -3), "shards=-3");
+#else
+  GTEST_SKIP() << "SEG_ASSERT is compiled out of release builds";
+#endif
 }
 
 TEST(ShardLayout, IsolationInvariant) {
@@ -83,8 +122,7 @@ TEST(ShardLayout, IsolationInvariant) {
   const int n = 30, w = 2;
   for (const ShardLayout& layout :
        {ShardLayout::stripes(n, w, 3), ShardLayout::stripes(n, w, 5),
-        ShardLayout::checkerboard(n, w, 2, 3),
-        ShardLayout::checkerboard(n, w, 3, 3)}) {
+        ShardLayout::stripes(n, w, 6)}) {
     for (int y = 0; y < n; ++y) {
       for (int x = 0; x < n; ++x) {
         const auto id = static_cast<std::uint32_t>(y * n + x);
@@ -102,27 +140,6 @@ TEST(ShardLayout, IsolationInvariant) {
       }
     }
   }
-}
-
-TEST(ShardLayout, CheckerboardCutsBothAxes) {
-  const int n = 24, w = 1;
-  const ShardLayout layout = ShardLayout::checkerboard(n, w, 2, 2);
-  EXPECT_EQ(layout.shard_count(), 4);
-  EXPECT_EQ(layout.mode(), ShardMode::kCheckerboard);
-  // Block of (0,0) vs (12,0) vs (0,12) vs (12,12).
-  EXPECT_EQ(layout.shard_of(0), 0);
-  EXPECT_EQ(layout.shard_of(12), 1);
-  EXPECT_EQ(layout.shard_of(12 * n), 2);
-  EXPECT_EQ(layout.shard_of(12 * n + 12), 3);
-  // A column cut makes vertical strips of boundary even in interior rows.
-  EXPECT_TRUE(layout.boundary(6 * n + 11));   // col 11: within 1 of cut
-  EXPECT_FALSE(layout.boundary(6 * n + 6));   // deep interior
-}
-
-TEST(ShardLayout, MaxStripesRespectsWindow) {
-  EXPECT_EQ(ShardLayout::max_stripes(2048, 4), 227);
-  EXPECT_EQ(ShardLayout::max_stripes(32, 2), 6);
-  EXPECT_EQ(ShardLayout::max_stripes(8, 3), 1);
 }
 
 // ---- 1-shard == serial, on the golden fixture ------------------------------
@@ -178,32 +195,6 @@ TEST(ShardedDifferential, OneShardGlauberHonorsMaxFlipsExactly) {
   EXPECT_EQ(sharded.spins(), serial.spins());
 }
 
-TEST(ShardedDifferential, OneShardKawasakiIsSerialBitwise) {
-  // Budgeted comparison well short of absorption, so neither engine's
-  // stale-check path fires and both stop exactly at max_swaps.
-  ModelParams p{.n = 32, .w = 2, .tau = 0.4, .p = 0.5};
-  const std::uint64_t dyn_seed = 987003;
-
-  Rng init_a = Rng::stream(1007, 0);
-  SchellingModel serial(p, init_a);
-  Rng dyn = Rng::stream(dyn_seed, 0);
-  KawasakiOptions serial_opt;
-  serial_opt.max_swaps = 900;
-  const KawasakiResult serial_run = run_kawasaki(serial, dyn, serial_opt);
-
-  Rng init_b = Rng::stream(1007, 0);
-  SchellingModel sharded(p, init_b, ShardLayout::stripes(p.n, p.w, 1));
-  ParallelKawasakiOptions opt;
-  opt.max_swaps = 900;
-  const ParallelKawasakiResult parallel_run =
-      run_parallel_kawasaki(sharded, dyn_seed, opt);
-
-  EXPECT_EQ(parallel_run.swaps, serial_run.swaps);
-  EXPECT_EQ(parallel_run.proposals, serial_run.proposals);
-  EXPECT_EQ(parallel_run.deferred, 0u);
-  EXPECT_EQ(sharded.spins(), serial.spins());
-}
-
 // ---- fixed shard count: thread-count invariance ----------------------------
 
 TEST(ShardedDifferential, GlauberInvariantAcrossThreadCounts) {
@@ -237,71 +228,29 @@ TEST(ShardedDifferential, GlauberInvariantAcrossThreadCounts) {
   }
 }
 
-TEST(ShardedDifferential, KawasakiInvariantAcrossThreadCounts) {
-  ModelParams p{.n = 64, .w = 2, .tau = 0.4, .p = 0.5};
-  const int k = 4;
-  const std::uint64_t dyn_seed = 987005;
-
-  std::uint64_t reference_hash = 0;
-  ParallelKawasakiResult reference;
-  std::int64_t reference_magnetization = 0;
-  for (const std::size_t threads : {1u, 4u}) {
-    Rng init = Rng::stream(2003, 0);
-    SchellingModel model(p, init, ShardLayout::stripes(p.n, p.w, k));
-    std::int64_t magnetization = 0;
-    for (const std::int8_t s : model.spins()) magnetization += s;
-    ParallelKawasakiOptions opt;
-    opt.threads = threads;
-    opt.max_swaps = 600;
-    const ParallelKawasakiResult run =
-        run_parallel_kawasaki(model, dyn_seed, opt);
-    EXPECT_TRUE(model.check_invariants());
-    // Swap dynamics conserve the magnetization exactly.
-    std::int64_t after = 0;
-    for (const std::int8_t s : model.spins()) after += s;
-    EXPECT_EQ(after, magnetization);
-    const std::uint64_t h = hash_state(model, run.swaps, run.proposals);
-    if (threads == 1) {
-      reference_hash = h;
-      reference = run;
-      reference_magnetization = after;
-    } else {
-      EXPECT_EQ(h, reference_hash) << "threads=" << threads;
-      EXPECT_EQ(run.swaps, reference.swaps);
-      EXPECT_EQ(run.proposals, reference.proposals);
-      EXPECT_EQ(run.deferred, reference.deferred);
-      EXPECT_EQ(after, reference_magnetization);
-    }
-  }
-}
-
 // ---- sharded semantics at k > 1 --------------------------------------------
 
 TEST(ShardedDifferential, ShardedRunsAreRepeatableAndExact) {
-  // Stripes and checkerboard both: two identically-seeded runs agree
-  // bitwise, audits pass at absorption, and the absorbing state is real.
+  // Two identically-seeded runs agree bitwise, audits pass at absorption,
+  // and the absorbing state is real.
   ModelParams p{.n = 60, .w = 2, .tau = 0.45, .p = 0.5};
-  for (const bool checkers : {false, true}) {
-    const ShardLayout layout =
-        checkers ? ShardLayout::checkerboard(p.n, p.w, 2, 2)
-                 : ShardLayout::stripes(p.n, p.w, 4);
-    std::uint64_t first_hash = 0;
-    for (int repeat = 0; repeat < 2; ++repeat) {
-      Rng init = Rng::stream(2004, 0);
-      SchellingModel model(p, init, layout);
-      const ParallelRunResult run = run_parallel_glauber(model, 987006);
-      EXPECT_TRUE(run.terminated);
-      EXPECT_TRUE(model.terminated());
-      EXPECT_TRUE(model.check_invariants());
-      for (std::uint32_t id = 0; id < model.agent_count(); ++id) {
-        ASSERT_FALSE(model.is_flippable(id)) << "site " << id;
-      }
-      const std::uint64_t h = hash_state(model, run.flips, run.deferred);
-      if (repeat == 0) {
-        first_hash = h;
-      } else {
-        EXPECT_EQ(h, first_hash) << (checkers ? "checkerboard" : "stripes");
-      }
+  const ShardLayout layout = ShardLayout::stripes(p.n, p.w, 4);
+  std::uint64_t first_hash = 0;
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    Rng init = Rng::stream(2004, 0);
+    SchellingModel model(p, init, layout);
+    const ParallelRunResult run = run_parallel_glauber(model, 987006);
+    EXPECT_TRUE(run.terminated);
+    EXPECT_TRUE(model.terminated());
+    EXPECT_TRUE(model.check_invariants());
+    for (std::uint32_t id = 0; id < model.agent_count(); ++id) {
+      ASSERT_FALSE(model.is_flippable(id)) << "site " << id;
+    }
+    const std::uint64_t h = hash_state(model, run.flips, run.deferred);
+    if (repeat == 0) {
+      first_hash = h;
+    } else {
+      EXPECT_EQ(h, first_hash);
     }
   }
 }
