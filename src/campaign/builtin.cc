@@ -145,8 +145,25 @@ bool build_campaign(const std::string& builtin, const ScenarioSpec& spec,
              : !spec.valid(error)) {
     return false;
   }
+  std::vector<ScenarioPoint> points = expand_grid(spec);
+  // valid() bounds every synthetic graph family, so their set-up stays
+  // graph-free; an edge list is only known once loaded, so load it once
+  // here and refuse the campaign before any replica runs.
+  const auto edge_list =
+      std::find_if(points.begin(), points.end(), [](const ScenarioPoint& pt) {
+        return pt.topology == TopologyFamily::kEdgeList;
+      });
+  std::string why;
+  if (!custom && edge_list != points.end() &&
+      !build_topology(spec, *edge_list, spec.shards, &why)) {
+    if (error) {
+      *error = "cannot build edge_list topology from '" + spec.graph_file +
+               "': " + why;
+    }
+    return false;
+  }
   out->spec = spec;
-  out->points = expand_grid(spec);
+  out->points = std::move(points);
   if (b && b->adjust_points) b->adjust_points(out->points);
   out->metric_names = custom ? spec.metrics : expand_metric_names(spec.metrics);
   out->replica = custom ? ReplicaFn(b->replica) : make_schelling_replica(spec);

@@ -58,7 +58,8 @@ bool builtin_spec(const std::string& name, const BuiltinOverrides& overrides,
 // Expands `spec` into a runnable campaign the way the named builtin does
 // (its point adjustments and replica fn); an empty `builtin` runs the
 // spec as written with the Schelling replica. False, with the reason in
-// *error, if `builtin` is unknown or the spec is invalid for it.
+// *error, if `builtin` is unknown, the spec is invalid for it, or its
+// edge_list file cannot be loaded or has fewer nodes than `shards`.
 bool build_campaign(const std::string& builtin, const ScenarioSpec& spec,
                     BuiltinCampaign* out, std::string* error = nullptr);
 

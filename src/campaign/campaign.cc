@@ -10,6 +10,7 @@
 #include <cstring>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "campaign/checkpoint.h"
@@ -102,11 +103,9 @@ std::uint64_t metrics_identity(std::uint64_t h,
 }
 
 // Shared mutable state of one engine run. `mutex` guards done / values /
-// the counters and all adaptive state; `checkpoint_mutex` guards
-// `checkpoint` and serializes writers so file I/O happens outside `mutex`.
+// the counters, all adaptive state and the checkpoint writer's handshake.
 struct EngineState {
   std::mutex mutex;
-  std::mutex checkpoint_mutex;
   // Signaled after every completed replica: wakes workers parked because
   // every open point had already claimed its full run-ahead window.
   std::condition_variable claimable;
@@ -131,26 +130,33 @@ struct EngineState {
   // adaptive workload rather than the worst-case cap).
   std::size_t effective_total = 0;
 
-  // Accumulated snapshot written to disk; rows are added incrementally as
-  // replicas complete, so a write never copies more than the delta.
-  CheckpointData checkpoint;
-  bool checkpoint_write_failed = false;  // guarded by checkpoint_mutex
+  // Checkpoint writer handshake: a worker sets save_requested and
+  // signals save_wanted; writer_exit tells the writer to return.
+  std::condition_variable save_wanted;
+  bool save_requested = false;
+  bool writer_exit = false;
+
+  // Checkpoint header: campaign seed, identity hash and row width.
+  std::uint64_t seed = 0;
+  std::uint64_t identity = 0;
+  std::size_t metric_count = 0;
+  // Only the checkpoint writer touches this while it runs, and the caller
+  // after joining it.
+  bool checkpoint_write_failed = false;
 };
 
-// Folds newly completed rows into the persistent snapshot and writes it.
-// Only the done-flag bytes and the decision trace are copied under the
-// engine mutex; a row published there is immutable afterwards, so its
-// values are copied outside the lock and workers never wait on the copy
-// or the disk. checkpoint_mutex is taken first and never inside `mutex`.
-// Decisions are recorded in the same critical section as the row that
-// triggered them, so the (done, trace) snapshot is always coherent: the
-// trace is exactly what a replay of the done rows produces.
+// Saves every row published so far. Only the done-flag bytes and the
+// decision trace are copied under the engine mutex; a row published
+// there is immutable afterwards, so the save reads it in place, outside
+// the lock, and workers never wait on the render or the disk. Decisions
+// are recorded in the same critical section as the row that triggered
+// them, so the (done, trace) snapshot is always coherent: the trace is
+// exactly what a replay of the done rows produces.
 void write_checkpoint(const std::string& path, EngineState& state) {
   SEG_TRACE_SPAN("checkpoint_write");
   SEG_TIMED("phase.checkpoint_write_us");
   SEG_COUNT("campaign.checkpoints", 1);
   SEG_FLIGHT("checkpoint_write", 0, 0);
-  std::lock_guard<std::mutex> io_lock(state.checkpoint_mutex);
   std::vector<std::uint8_t> done_now;
   std::vector<StopDecision> trace_now;
   {
@@ -162,15 +168,9 @@ void write_checkpoint(const std::string& path, EngineState& state) {
             [](const StopDecision& a, const StopDecision& b) {
               return a.point < b.point;
             });
-  CheckpointData& ck = state.checkpoint;
-  for (std::size_t g = 0; g < done_now.size(); ++g) {
-    if (done_now[g] && !ck.done[g]) {
-      ck.values[g] = state.values[g];
-      ck.done[g] = 1;
-    }
-  }
-  ck.trace = std::move(trace_now);
-  if (!save_checkpoint(path, ck)) {
+  const CheckpointView view{state.seed,  state.identity, state.metric_count,
+                            done_now,    state.values,   trace_now};
+  if (!save_checkpoint(path, view)) {
     if (!state.checkpoint_write_failed) {
       std::fprintf(stderr,
                    "warning: failed to write campaign checkpoint %s\n",
@@ -179,6 +179,48 @@ void write_checkpoint(const std::string& path, EngineState& state) {
     state.checkpoint_write_failed = true;
   }
 }
+
+// Runs the periodic checkpoint saves on a thread of its own, so a worker
+// whose completion makes a save due only sets a flag: it never renders,
+// writes or fsyncs. A request made while a save is in flight merges into
+// the next save. finish() (also run on destruction) drops any pending
+// request and joins; the caller's final save covers it.
+class CheckpointWriter {
+ public:
+  CheckpointWriter(const std::string& path, EngineState& state)
+      : state_(state), thread_([this, &path] { loop(path); }) {}
+  ~CheckpointWriter() { finish(); }
+  CheckpointWriter(const CheckpointWriter&) = delete;
+  CheckpointWriter& operator=(const CheckpointWriter&) = delete;
+
+  void finish() {
+    if (!thread_.joinable()) return;
+    {
+      std::lock_guard<std::mutex> lock(state_.mutex);
+      state_.writer_exit = true;
+    }
+    state_.save_wanted.notify_one();
+    thread_.join();
+  }
+
+ private:
+  void loop(const std::string& path) {
+    std::unique_lock<std::mutex> lock(state_.mutex);
+    for (;;) {
+      state_.save_wanted.wait(lock, [this] {
+        return state_.save_requested || state_.writer_exit;
+      });
+      if (state_.writer_exit) return;
+      state_.save_requested = false;
+      lock.unlock();
+      write_checkpoint(path, state_);
+      lock.lock();
+    }
+  }
+
+  EngineState& state_;
+  std::thread thread_;
+};
 
 }  // namespace
 
@@ -296,11 +338,9 @@ CampaignResult run_campaign(const ScenarioSpec& spec,
       for (const std::uint8_t d : state.done) resumed += d != 0;
     }
   }
-  state.checkpoint.seed = seed;
-  state.checkpoint.spec_hash = identity;
-  state.checkpoint.metric_count = metric_count;
-  state.checkpoint.done = state.done;      // resumed rows seed the snapshot
-  state.checkpoint.values = state.values;
+  state.seed = seed;
+  state.identity = identity;
+  state.metric_count = metric_count;
 
   if (adaptive) {
     // Replay the resumed rows through the live stoppers (a no-op on a
@@ -398,7 +438,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec,
     SEG_FLIGHT("replica_done", g, 0);
     assert(row.size() == metric_count && "replica returned a wrong-width row");
     row.resize(metric_count, 0.0);
-    bool checkpoint_due = false;
+    bool save_due = false;
     {
       std::lock_guard<std::mutex> lock(state.mutex);
       state.values[g] = std::move(row);
@@ -418,12 +458,11 @@ CampaignResult run_campaign(const ScenarioSpec& spec,
       if (!options.checkpoint_path.empty() &&
           ++state.since_checkpoint >= options.checkpoint_every) {
         state.since_checkpoint = 0;
-        checkpoint_due = true;
+        state.save_requested = true;
+        save_due = true;
       }
     }
-    if (checkpoint_due) {
-      write_checkpoint(options.checkpoint_path, state);
-    }
+    if (save_due) state.save_wanted.notify_one();
     // Wake window-blocked workers: the fold frontier (and the stop flag)
     // may have moved. The published state change happened under the
     // mutex, so notifying after release cannot lose a wakeup.
@@ -453,6 +492,10 @@ CampaignResult run_campaign(const ScenarioSpec& spec,
     }
   };
 
+  std::optional<CheckpointWriter> writer;
+  if (!options.checkpoint_path.empty()) {
+    writer.emplace(options.checkpoint_path, state);
+  }
   if (options.threads == 1) {
     worker_loop();
   } else {
@@ -462,7 +505,12 @@ CampaignResult run_campaign(const ScenarioSpec& spec,
     pool.wait_idle();
   }
 
-  if (!options.checkpoint_path.empty()) {
+  // The final save runs after the workers and the writer stop, so the
+  // file holds every completed row whatever the writer was doing.
+  if (writer) {
+    SEG_TRACE_SPAN("checkpoint_drain");
+    SEG_TIMED("phase.checkpoint_drain_us");
+    writer->finish();
     write_checkpoint(options.checkpoint_path, state);
   }
 

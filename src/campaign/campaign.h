@@ -22,12 +22,13 @@
 // the checkpoint, but are excluded from the aggregates, which contain
 // exactly the first `replicas_used` replicas of each point.
 //
-// Checkpointing: when a checkpoint path is set, the engine periodically
-// persists the raw per-replica metric vectors (bit-exact) plus the spec
-// hash and the stop-decision trace; a resumed run loads them, replays
-// the decisions from the raw rows (refusing the checkpoint if the replay
-// disagrees with the stored trace), skips the completed replicas, and
-// produces the same fold.
+// Checkpointing: when a checkpoint path is set, a background writer
+// thread periodically persists the raw per-replica metric vectors
+// (bit-exact) plus the spec hash and the stop-decision trace, and the
+// engine saves once more after the workers stop; a resumed run loads
+// them, replays the decisions from the raw rows (refusing the checkpoint
+// if the replay disagrees with the stored trace), skips the completed
+// replicas, and produces the same fold.
 #pragma once
 
 #include <cstdint>
@@ -52,9 +53,13 @@ using ReplicaFn = std::function<std::vector<double>(
 struct CampaignOptions {
   std::size_t threads = 1;  // 0 = hardware concurrency
 
-  // Empty disables checkpointing. Writes are atomic (tmp + rename).
+  // Empty disables checkpointing. Writes are atomic (tmp + fsync +
+  // rename) and run on one background writer thread per campaign, never
+  // on a worker. The final save runs after the workers stop, so the final
+  // file's bytes, and what a resume reads, do not depend on the writer.
   std::string checkpoint_path;
-  // Replicas completed between checkpoint writes.
+  // A save is requested every checkpoint_every completions. Requests
+  // made while a save is in flight merge into the next save.
   std::size_t checkpoint_every = 64;
   // Load checkpoint_path (if present and matching) before running.
   bool resume = false;

@@ -59,11 +59,17 @@ double bits_double(std::uint64_t bits) {
   return v;
 }
 
+std::size_t count_done(const std::vector<std::uint8_t>& done) {
+  std::size_t count = 0;
+  for (const std::uint8_t d : done) count += d != 0;
+  return count;
+}
+
 // Emits the one on-disk form of `data` (load_checkpoint accepts nothing
 // else) as sink(bytes, size) calls of up to about kChunk bytes each, so
 // a save never holds the whole file in memory.
 template <class Sink>
-void render_checkpoint(const CheckpointData& data, Sink&& sink) {
+void render_checkpoint(const CheckpointView& data, Sink&& sink) {
   constexpr std::size_t kChunk = 1 << 16;
   std::string out;
   out.reserve(kChunk);
@@ -107,19 +113,24 @@ void render_checkpoint(const CheckpointData& data, Sink&& sink) {
     put(std::snprintf(buf, sizeof(buf), "trace %016" PRIx64 "\n",
                       decision_trace_hash(data.trace)));
   }
-  put(std::snprintf(buf, sizeof(buf), "end %zu\n", data.done_count()));
+  put(std::snprintf(buf, sizeof(buf), "end %zu\n", count_done(data.done)));
   sink(out.data(), out.size());
+}
+
+CheckpointView view_of(const CheckpointData& data) {
+  return {data.seed,  data.spec_hash, data.metric_count,
+          data.done,  data.values,    data.trace};
 }
 
 }  // namespace
 
-std::size_t CheckpointData::done_count() const {
-  std::size_t count = 0;
-  for (const std::uint8_t d : done) count += d != 0;
-  return count;
-}
+std::size_t CheckpointData::done_count() const { return count_done(done); }
 
 bool save_checkpoint(const std::string& path, const CheckpointData& data) {
+  return save_checkpoint(path, view_of(data));
+}
+
+bool save_checkpoint(const std::string& path, const CheckpointView& data) {
   SEG_TRACE_SPAN("checkpoint_io");
   SEG_TIMED("phase.checkpoint_io_us");
   const std::string tmp = path + ".tmp";
@@ -219,7 +230,8 @@ bool load_checkpoint(const std::string& path, CheckpointData* out) {
   std::fclose(f);
   if (!ok) return false;
   std::size_t at = 0;
-  render_checkpoint(data, [&](const char* canonical, std::size_t size) {
+  render_checkpoint(view_of(data), [&](const char* canonical,
+                                       std::size_t size) {
     ok = ok && bytes.compare(at, size, canonical, size) == 0;
     at += size;
   });

@@ -41,8 +41,22 @@ struct CheckpointData {
   std::size_t done_count() const;
 };
 
-// Atomically writes `data` to `path`. Returns false on I/O failure.
+// CheckpointData's fields by reference, so a caller can save rows it
+// keeps elsewhere without copying them. values[g] is read only where
+// done[g] != 0.
+struct CheckpointView {
+  std::uint64_t seed = 0;
+  std::uint64_t spec_hash = 0;
+  std::size_t metric_count = 0;
+  const std::vector<std::uint8_t>& done;
+  const std::vector<std::vector<double>>& values;
+  const std::vector<StopDecision>& trace;
+};
+
+// Atomically writes `data` to `path`. Returns false on I/O failure. Both
+// overloads write the same bytes for the same fields.
 bool save_checkpoint(const std::string& path, const CheckpointData& data);
+bool save_checkpoint(const std::string& path, const CheckpointView& view);
 
 // Loads `path`. Returns false (leaving *out untouched) if the file is
 // missing, truncated, malformed, or not byte for byte the form

@@ -103,13 +103,9 @@ constexpr MetricEntry kRegistry[] = {
      false},
 };
 
-// Constructs the topology a non-torus point runs on, from the spec's
-// graph_* parameters. nullptr (with *why) when construction fails — in
-// practice only for edge_list files, since ScenarioSpec::valid() already
-// vetted the synthetic-family parameters.
-std::shared_ptr<const GraphTopology> build_topology(const ScenarioSpec& spec,
-                                                    const ScenarioPoint& point,
-                                                    std::string* why) {
+std::shared_ptr<const GraphTopology> build_family(const ScenarioSpec& spec,
+                                                  const ScenarioPoint& point,
+                                                  std::string* why) {
   switch (point.topology) {
     case TopologyFamily::kTorus:
       break;
@@ -143,6 +139,24 @@ std::shared_ptr<const GraphTopology> build_topology(const ScenarioSpec& spec,
 }
 
 }  // namespace
+
+std::shared_ptr<const GraphTopology> build_topology(const ScenarioSpec& spec,
+                                                    const ScenarioPoint& point,
+                                                    std::size_t shards,
+                                                    std::string* why) {
+  std::shared_ptr<const GraphTopology> graph = build_family(spec, point, why);
+  // ScenarioSpec::valid() bounds shards by every synthetic graph's node
+  // count; a loaded edge list is first counted here.
+  if (graph && shards > graph->node_count()) {
+    if (why) {
+      *why = "shards = " + std::to_string(shards) +
+             " exceeds its node count: at most " +
+             std::to_string(graph->node_count());
+    }
+    return nullptr;
+  }
+  return graph;
+}
 
 const std::vector<std::int8_t>& MetricContext::spins() {
   if (spins_.empty()) spins_ = model.spins();
@@ -245,15 +259,7 @@ class TopologyCache {
     }
     std::call_once(slot->built, [&] {
       std::string why;
-      slot->graph = build_topology(spec, point, &why);
-      // ScenarioSpec::valid() bounds shards by every synthetic graph's
-      // node count; a loaded edge list is first counted here.
-      if (slot->graph && shards > slot->graph->node_count()) {
-        why = "shards = " + std::to_string(shards) +
-              " exceeds its node count: at most " +
-              std::to_string(slot->graph->node_count());
-        slot->graph = nullptr;
-      }
+      slot->graph = build_topology(spec, point, shards, &why);
       if (!slot->graph) {
         // Reported once; every replica of the point returns the NaN row.
         std::fprintf(stderr,

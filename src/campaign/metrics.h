@@ -88,6 +88,16 @@ std::size_t metric_index(const std::vector<std::string>& names,
 std::vector<std::string> expand_metric_names(
     const std::vector<std::string>& metrics);
 
+// The topology a non-torus point runs on, built from the spec's graph_*
+// parameters, with room for `shards` parts. nullptr, with the reason in
+// *why, when it cannot be built: in practice only an edge_list file that
+// fails to load or has fewer nodes than `shards`, since
+// ScenarioSpec::valid() already bounds the synthetic families.
+std::shared_ptr<const GraphTopology> build_topology(const ScenarioSpec& spec,
+                                                    const ScenarioPoint& point,
+                                                    std::size_t shards,
+                                                    std::string* why);
+
 // Builds the engine ReplicaFn for the built-in Schelling model: constructs
 // the model from the point's params, runs the point's dynamics, then
 // evaluates spec.metrics (which must all be known). The spec is captured

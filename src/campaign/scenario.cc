@@ -394,6 +394,16 @@ bool ScenarioSpec::valid_for_columns(const std::vector<std::string>& columns,
     }
   }
   if (shards > 1) {
+    // Only Glauber replicas run sharded; any other dynamics would run
+    // serially under a spec (and manifest) that says otherwise.
+    for (const DynamicsKind d : dynamics) {
+      if (d != DynamicsKind::kGlauber) {
+        return fail(error, "shards = " + std::to_string(shards) +
+                               " needs glauber dynamics, but the dynamics "
+                               "axis holds " +
+                               dynamics_name(d));
+      }
+    }
     for (const TopologyFamily f : topology) {
       for (const int side : n) {
         std::string what;

@@ -149,6 +149,30 @@ TEST(Scenario, ShardsAboveSideOrNodeCountAreRefused) {
             "shards = 1000 exceeds the torus side at n = 16: at most 16");
 }
 
+TEST(Scenario, ShardsNeedGlauberDynamics) {
+  // Only Glauber replicas run sharded, so shards > 1 beside any other
+  // dynamics is refused instead of silently running serially.
+  std::string error;
+  ScenarioSpec spec = small_spec();
+  spec.dynamics = {DynamicsKind::kGlauber, DynamicsKind::kDiscrete};
+  EXPECT_TRUE(spec.valid(&error)) << error;
+  spec.shards = 2;
+  EXPECT_FALSE(spec.valid(&error));
+  EXPECT_EQ(error,
+            "shards = 2 needs glauber dynamics, but the dynamics axis holds "
+            "discrete");
+  spec.dynamics = {DynamicsKind::kGlauber};
+  EXPECT_TRUE(spec.valid(&error)) << error;
+
+  // The same refusal through the spec text.
+  ScenarioSpec parsed;
+  EXPECT_FALSE(ScenarioSpec::parse(
+      "n = 16\ndynamics = synchronous\nshards = 2\n", &parsed, &error));
+  EXPECT_EQ(error,
+            "shards = 2 needs glauber dynamics, but the dynamics axis holds "
+            "synchronous");
+}
+
 TEST(Scenario, ParseRejectsUnknownMetricAndKey) {
   ScenarioSpec spec;
   std::string error;

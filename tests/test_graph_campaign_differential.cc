@@ -14,6 +14,8 @@
 //  4. An edge-list file that cannot be loaded, or that has fewer nodes
 //     than the spec's shards, is reported once per point, and every
 //     replica of the point still returns the NaN row.
+//  5. build_campaign refuses both such files up front, naming the file
+//     and the reason, so a command line run exits before any replica.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -212,6 +214,35 @@ TEST(GraphCampaignDifferential, EdgeListSmallerThanShardsReportedOncePerPoint) {
             2u)
       << log;
   expect_nan_rows(spec, result);
+}
+
+TEST(GraphCampaignDifferential, BuildCampaignRefusesUnbuildableEdgeList) {
+  const std::string path =
+      ::testing::TempDir() + "graph_campaign_build_three_nodes.txt";
+  {
+    std::ofstream out(path);
+    out << "0 1\n1 2\n";
+  }
+  ScenarioSpec spec;
+  spec.name = "edge_list_build";
+  spec.n = {16};
+  spec.w = {1};
+  spec.topology = {TopologyFamily::kEdgeList};
+  spec.graph_file = path;
+  spec.metrics = {"flips", "majority"};
+  BuiltinCampaign campaign;
+  std::string error;
+  spec.shards = 3;
+  EXPECT_TRUE(build_campaign("", spec, &campaign, &error)) << error;
+  spec.shards = 4;
+  EXPECT_FALSE(build_campaign("", spec, &campaign, &error));
+  EXPECT_EQ(error, "cannot build edge_list topology from '" + path +
+                       "': shards = 4 exceeds its node count: at most 3");
+  std::filesystem::remove(path);
+  spec.shards = 1;
+  EXPECT_FALSE(build_campaign("", spec, &campaign, &error));
+  EXPECT_EQ(error, "cannot build edge_list topology from '" + path +
+                       "': cannot open edge list '" + path + "'");
 }
 
 }  // namespace
