@@ -241,7 +241,7 @@ BENCHMARK(BM_GlauberRunScraped)->Arg(0)->Arg(1);
 // quantum. Thread count follows the hardware (capped at the shard
 // count) — on a single-core host the sharded rows measure pure framework
 // overhead; the scaling headroom needs real cores.
-void BM_GlauberSweep(benchmark::State& state) {
+void glauber_sweep(benchmark::State& state, std::size_t threads) {
   const int n = static_cast<int>(state.range(0));
   const int shards = static_cast<int>(state.range(1));
   const int w = 4;
@@ -268,6 +268,7 @@ void BM_GlauberSweep(benchmark::State& state) {
                                 seg::ShardLayout::stripes(n, w, shards));
       state.ResumeTiming();
       seg::ParallelOptions opt;
+      opt.threads = threads;
       opt.max_flips = budget;
       flips += seg::run_parallel_glauber(model, 4, opt).flips;
     }
@@ -275,10 +276,25 @@ void BM_GlauberSweep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(flips));
   state.counters["shards"] = shards;
 }
+
+void BM_GlauberSweep(benchmark::State& state) { glauber_sweep(state, 0); }
 BENCHMARK(BM_GlauberSweep)
     ->ArgsProduct({{1024, 2048, 4096}, {0, 1, 2, 4, 8}})
     // Phase A runs on pool workers whose CPU time the main thread never
     // sees; wall-clock is the only honest basis for the flips/sec rate.
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// The same sweeps at threads = 1, the path campaign replicas run: no
+// pool, the calling thread runs the shards in order. Against the
+// BM_GlauberSweep rows this separates the pool's handoff cost from the
+// decomposition's own. One shard is left out: BM_GlauberSweep/<n>/1
+// already runs on one worker.
+void BM_GlauberSweepOneWorker(benchmark::State& state) {
+  glauber_sweep(state, 1);
+}
+BENCHMARK(BM_GlauberSweepOneWorker)
+    ->ArgsProduct({{1024, 2048, 4096}, {2, 4, 8}})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

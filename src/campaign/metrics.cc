@@ -367,9 +367,11 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
       SEG_TRACE_SPAN("replica_dynamics");
       ParallelOptions parallel_options;
       // Campaigns parallelize at the *replica* level (the campaign pool),
-      // so each replica's phase A runs single-threaded: with a replica
-      // fleet in flight, outer-level parallelism already saturates the
-      // cores, and nesting a per-replica pool would oversubscribe them.
+      // so each replica's phase A runs single-threaded: the replica's own
+      // thread runs the shards in order, and no pool or thread is started
+      // per replica. With a replica fleet in flight, outer-level
+      // parallelism already saturates the cores, and nesting a
+      // per-replica pool would oversubscribe them.
       // --shards in a campaign therefore selects the k-shard *process*
       // (deterministic per k, comparable with the sharded drivers), not
       // a per-replica speedup; for wall-clock scaling of one giant run

@@ -1,6 +1,7 @@
 #include "core/parallel_dynamics.h"
 
 #include <algorithm>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -53,7 +54,12 @@ ParallelRunResult run_parallel_glauber(SchellingModel& model,
           ? options.sweep_quantum
           : std::max<std::uint64_t>(256, model.agent_count() / (4 * k));
 
-  ThreadPool pool(pool_width(options.threads, k), "shards");
+  // A pool pays off only with more than one worker. At width 1 the
+  // caller runs the shards itself, in the FIFO order a one-worker pool
+  // would, so each sweep skips the cross-thread handoff.
+  const std::size_t width = pool_width(options.threads, k);
+  std::optional<ThreadPool> pool;
+  if (width > 1) pool.emplace(width, "shards");
   ParallelRunResult result;
   std::vector<std::uint32_t> reconciled_events;
   std::uint64_t flips_since_sample = 0;
@@ -69,7 +75,7 @@ ParallelRunResult run_parallel_glauber(SchellingModel& model,
     // stay entirely inside the shard (ShardLayout isolation), so the
     // shared engine is written race-free; the first boundary draw is
     // deferred and blocks the shard until reconciliation.
-    parallel_for(pool, static_cast<std::size_t>(k), [&](std::size_t s) {
+    const auto phase_a = [&](std::size_t s) {
       SEG_TRACE_SPAN("phase_a_shard");
       SEG_TIMED("phase.shard_a_us");
       ShardState& st = shards[s];
@@ -90,7 +96,14 @@ ParallelRunResult run_parallel_glauber(SchellingModel& model,
         ++st.flips;
         if (streaming != nullptr) st.events.push_back(id);
       }
-    });
+    };
+    if (pool) {
+      parallel_for(*pool, static_cast<std::size_t>(k), phase_a);
+    } else {
+      for (std::size_t s = 0; s < static_cast<std::size_t>(k); ++s) {
+        phase_a(s);
+      }
+    }
 
     // Fold sweep statistics in shard order (deterministic). Telemetry
     // counters are bumped once per sweep with the folded deltas, so the

@@ -1,7 +1,10 @@
 // Sharded parallel dynamics: Glauber sweeps of ONE large lattice
 // decomposed into shards (row stripes, lattice/sharded.h, or a graph
 // partition, graph/partition.h) and driven across the util/thread_pool
-// workers.
+// workers. With one worker (threads = 1, or a single shard) no pool is
+// built: the calling thread runs phase A itself, shard by shard in
+// ascending order, so a one-worker run costs no thread and no per-sweep
+// handoff.
 //
 // Algorithm: time advances in *sweeps*. In phase A every shard, in
 // parallel, runs the serial Glauber loop restricted to its own
@@ -45,8 +48,9 @@ namespace seg {
 class StreamingObservables;
 
 struct ParallelOptions {
-  // Worker threads for phase A; 0 = hardware concurrency. The pool is
-  // additionally capped at the shard count.
+  // Worker threads for phase A; 0 = hardware concurrency, capped at the
+  // shard count. A width of 1 runs phase A on the calling thread with no
+  // pool; wider runs build a pool for the run.
   std::size_t threads = 0;
   // Streaming measurement sink (analysis/streaming.h). Phase-A workers
   // append applied flips to per-shard event logs (no shared writes); the

@@ -15,6 +15,8 @@
 //     route through the conflict queue, and the absorbing states are
 //     genuine (no flippable agent remains).
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -22,7 +24,10 @@
 #include "core/dynamics.h"
 #include "core/model.h"
 #include "core/parallel_dynamics.h"
+#include "graph/partition.h"
+#include "graph/topology.h"
 #include "lattice/sharded.h"
+#include "obs/telemetry.h"
 
 namespace seg {
 namespace {
@@ -227,6 +232,67 @@ TEST(ShardedDifferential, GlauberInvariantAcrossThreadCounts) {
     }
   }
 }
+
+#if !defined(SEG_TELEMETRY_DISABLED)
+// A one-worker run builds no pool: the caller runs phase A itself. The
+// labelled "shards" pool counts every task it runs, so a threads = 1 run
+// must leave pool.shards.tasks where it was, on stripes and on a graph
+// partition alike, while a threads = 2 run of the same model advances it.
+// Both must follow the same trajectory.
+TEST(ShardedDifferential, OneWorkerRunsStartNoPool) {
+  struct Outcome {
+    std::uint64_t hash;
+    ParallelRunResult run;
+  };
+  const std::function<Outcome(std::size_t)> stripes =
+      [](std::size_t threads) {
+        ModelParams p{.n = 64, .w = 2, .tau = 0.45, .p = 0.5};
+        Rng init = Rng::stream(2006, 0);
+        SchellingModel model(p, init, ShardLayout::stripes(p.n, p.w, 4));
+        ParallelOptions opt;
+        opt.threads = threads;
+        const ParallelRunResult run =
+            run_parallel_glauber(model, 987008, opt);
+        EXPECT_TRUE(model.check_invariants());
+        return Outcome{hash_state(model, run.flips, run.sweeps), run};
+      };
+  const std::function<Outcome(std::size_t)> graph_parts =
+      [](std::size_t threads) {
+        ModelParams p{.tau = 0.4, .p = 0.5};
+        const auto graph = std::make_shared<const GraphTopology>(
+            GraphTopology::random_regular(512, 8, /*seed=*/7));
+        Rng init = Rng::stream(2007, 0);
+        SchellingModel model(p, graph,
+                             random_spins_count(graph->node_count(), p.p,
+                                                init),
+                             GraphPartition::greedy_bfs(*graph, 3));
+        ParallelOptions opt;
+        opt.threads = threads;
+        opt.max_flips = 3000;
+        const ParallelRunResult run =
+            run_parallel_glauber(model, 987009, opt);
+        EXPECT_TRUE(model.check_invariants());
+        return Outcome{hash_state(model, run.flips, run.sweeps), run};
+      };
+
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const obs::Registry& registry = obs::Registry::instance();
+  for (const auto& run_at : {stripes, graph_parts}) {
+    const std::uint64_t before = registry.counter_value("pool.shards.tasks");
+    const Outcome inline_run = run_at(1);
+    EXPECT_EQ(registry.counter_value("pool.shards.tasks"), before);
+    EXPECT_GT(inline_run.run.deferred, 0u);
+    const Outcome pooled = run_at(2);
+    EXPECT_GT(registry.counter_value("pool.shards.tasks"), before);
+    EXPECT_EQ(pooled.hash, inline_run.hash);
+    EXPECT_EQ(pooled.run.flips, inline_run.run.flips);
+    EXPECT_EQ(pooled.run.deferred, inline_run.run.deferred);
+    EXPECT_EQ(pooled.run.final_time, inline_run.run.final_time);
+  }
+  obs::set_enabled(was_enabled);
+}
+#endif  // !SEG_TELEMETRY_DISABLED
 
 // ---- sharded semantics at k > 1 --------------------------------------------
 
