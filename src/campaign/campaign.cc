@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
@@ -153,8 +152,7 @@ struct EngineState {
 // them, so the (done, trace) snapshot is always coherent: the trace is
 // exactly what a replay of the done rows produces.
 void write_checkpoint(const std::string& path, EngineState& state) {
-  SEG_TRACE_SPAN("checkpoint_write");
-  SEG_TIMED("phase.checkpoint_write_us");
+  SEG_SPAN("checkpoint_write");
   SEG_COUNT("campaign.checkpoints", 1);
   SEG_FLIGHT("checkpoint_write", 0, 0);
   std::vector<std::uint8_t> done_now;
@@ -419,20 +417,8 @@ CampaignResult run_campaign(const ScenarioSpec& spec,
     const ScenarioPoint& point = points[g / replicas];
     std::vector<double> row;
     {
-      SEG_TRACE_SPAN("replica");
-      // Replicas are whole simulations; the two clock reads bounding one
-      // are noise, but skip even those unless telemetry is live.
-      if (obs::enabled()) {
-        using Clock = std::chrono::steady_clock;
-        const Clock::time_point start = Clock::now();
-        row = replica(point, g % replicas, derive_replica_seed(seed, g));
-        const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                            Clock::now() - start)
-                            .count();
-        SEG_HISTOGRAM("campaign.replica_us", us);
-      } else {
-        row = replica(point, g % replicas, derive_replica_seed(seed, g));
-      }
+      SEG_SPAN("replica");
+      row = replica(point, g % replicas, derive_replica_seed(seed, g));
     }
     SEG_COUNT("campaign.replicas_done", 1);
     SEG_FLIGHT("replica_done", g, 0);
@@ -508,8 +494,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec,
   // The final save runs after the workers and the writer stop, so the
   // file holds every completed row whatever the writer was doing.
   if (writer) {
-    SEG_TRACE_SPAN("checkpoint_drain");
-    SEG_TIMED("phase.checkpoint_drain_us");
+    SEG_SPAN("checkpoint_drain");
     writer->finish();
     write_checkpoint(options.checkpoint_path, state);
   }

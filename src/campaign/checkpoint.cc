@@ -131,8 +131,7 @@ bool save_checkpoint(const std::string& path, const CheckpointData& data) {
 }
 
 bool save_checkpoint(const std::string& path, const CheckpointView& data) {
-  SEG_TRACE_SPAN("checkpoint_io");
-  SEG_TIMED("phase.checkpoint_io_us");
+  SEG_SPAN("checkpoint_io");
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "w");
   if (!f) return false;

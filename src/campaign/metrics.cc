@@ -252,6 +252,7 @@ class TopologyCache {
  public:
   const PointGraph& get(const ScenarioSpec& spec, const ScenarioPoint& point,
                         std::size_t shards) {
+    SEG_SPAN("topology_lookup");
     PointGraph* slot = nullptr;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -283,6 +284,7 @@ class TopologyCache {
 // when > 1.
 SchellingModel make_model(const ModelParams& params, const PointGraph* shared,
                           int shards, Rng& init) {
+  SEG_SPAN("replica_setup");
   if (shared) {
     return SchellingModel(params, shared->graph, init, shared->partition);
   }
@@ -364,7 +366,7 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
     std::vector<std::int64_t> magnetization;  // serial samples
     RunResult run;
     if (sharded) {
-      SEG_TRACE_SPAN("replica_dynamics");
+      SEG_SPAN("replica_dynamics");
       ParallelOptions parallel_options;
       // Campaigns parallelize at the *replica* level (the campaign pool),
       // so each replica's phase A runs single-threaded: the replica's own
@@ -384,7 +386,7 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
       run = to_run_result(run_parallel_glauber(
           model, mix_seed(replica_seed, 1), parallel_options));
     } else {
-      SEG_TRACE_SPAN("replica_dynamics");
+      SEG_SPAN("replica_dynamics");
       if (needs_streaming) {
         // Also the --progress line's live magnetization gauge.
         run_options.snapshot_every = sample_every;
@@ -408,7 +410,7 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
       }
     }
     SEG_HISTOGRAM("campaign.replica_flips", run.flips);
-    SEG_TRACE_SPAN("replica_measure");
+    SEG_SPAN("replica_measure");
     Rng sample = Rng::stream(replica_seed, 2);
     double autocorr_lag1 = nan_metric();
     if (replay) {

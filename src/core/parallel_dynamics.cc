@@ -66,8 +66,7 @@ ParallelRunResult run_parallel_glauber(SchellingModel& model,
 
   while (!model.terminated() && result.flips < options.max_flips &&
          result.sweeps < options.max_sweeps) {
-    SEG_TRACE_SPAN("sweep");
-    SEG_TIMED("phase.sweep_us");
+    SEG_SPAN("sweep");
     const std::uint64_t budget =
         std::min(quantum, options.max_flips - result.flips);
 
@@ -76,8 +75,7 @@ ParallelRunResult run_parallel_glauber(SchellingModel& model,
     // shared engine is written race-free; the first boundary draw is
     // deferred and blocks the shard until reconciliation.
     const auto phase_a = [&](std::size_t s) {
-      SEG_TRACE_SPAN("phase_a_shard");
-      SEG_TIMED("phase.shard_a_us");
+      SEG_SPAN("phase_a_shard");
       ShardState& st = shards[s];
       const AgentSet& flippable =
           model.flippable_set(static_cast<int>(s));
@@ -130,8 +128,7 @@ ParallelRunResult run_parallel_glauber(SchellingModel& model,
     // flip is re-validated against the current global state — an earlier
     // reconciled flip may have changed its window.
     {
-      SEG_TRACE_SPAN("reconcile");
-      SEG_TIMED("phase.reconcile_us");
+      SEG_SPAN("reconcile");
       std::uint64_t sweep_reconciled = 0;
       for (ShardState& st : shards) {
         for (const std::uint32_t id : st.queue) {
@@ -158,8 +155,7 @@ ParallelRunResult run_parallel_glauber(SchellingModel& model,
       // the reconciled boundary flips in application order. Samples are
       // taken on the replayed stream every `streaming_sample_every`
       // flips (or once per sweep when 0), deterministically.
-      SEG_TRACE_SPAN("streaming_replay");
-      SEG_TIMED("phase.streaming_replay_us");
+      SEG_SPAN("streaming_replay");
       const auto drain = [&](std::uint32_t id) {
         streaming->apply_flip(id);
         if (options.streaming_sample_every > 0 &&

@@ -90,7 +90,7 @@ class PackedHaloField {
         words_per_row_((stride_bits_ + 63) / 64),
         words_(static_cast<std::size_t>(n_ + 2 * halo) * words_per_row_,
                0) {
-    SEG_TRACE_SPAN("lattice.packed_halo_rebuild");
+    SEG_SPAN("lattice.packed_halo_rebuild");
     assert(halo >= 0 && halo <= n_);
     for (int py = 0; py < n_ + 2 * halo_; ++py) {
       const int y = torus_wrap(py - halo_, n_);

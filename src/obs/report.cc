@@ -23,11 +23,9 @@ std::string fmt_u64(std::uint64_t v) {
   return buf;
 }
 
-// A histogram counts as a phase latency when it follows the SEG_TIMED
-// naming convention ("phase.<name>_us") or is the campaign engine's
-// per-replica wall-time histogram.
+// A histogram is a phase latency when SEG_SPAN named it ("span.<name>_ns").
 bool is_phase_histogram(const std::string& name) {
-  return name.rfind("phase.", 0) == 0 || name == "campaign.replica_us";
+  return name.rfind("span.", 0) == 0;
 }
 
 }  // namespace
@@ -62,9 +60,9 @@ RunReport build_report(const CampaignResult& result, double wall_time_s) {
     PhaseLatency ph;
     ph.name = s.name;
     ph.count = s.histogram_count;
-    ph.p50_us = quantile_from_log2_buckets(s.buckets, 0.50);
-    ph.p95_us = quantile_from_log2_buckets(s.buckets, 0.95);
-    ph.p99_us = quantile_from_log2_buckets(s.buckets, 0.99);
+    ph.p50_us = quantile_from_log2_buckets(s.buckets, 0.50) / 1e3;
+    ph.p95_us = quantile_from_log2_buckets(s.buckets, 0.95) / 1e3;
+    ph.p99_us = quantile_from_log2_buckets(s.buckets, 0.99) / 1e3;
     rep.phases.push_back(std::move(ph));
   }
   std::sort(rep.phases.begin(), rep.phases.end(),

@@ -3,9 +3,9 @@
 // build_report() folds a finished CampaignResult together with the
 // telemetry registry into a RunReport: campaign outcome (points by
 // state, replicas done/resumed, completeness), per-phase latency
-// quantiles from the SEG_TIMED histograms (p50/p95/p99 microseconds,
-// bucket-interpolated), per-worker utilization from the pool busy
-// counters, the adaptive-stopping decision-trace summary, and
+// quantiles from the SEG_SPAN histograms (p50/p95/p99 in fractional
+// microseconds, bucket-interpolated), per-worker utilization from the
+// pool busy counters, the adaptive-stopping decision-trace summary, and
 // checkpoint counts. render_json() emits it as report.json;
 // render_markdown() as a human-readable summary table. write_report()
 // dispatches on the extension: ".md"/".markdown" renders markdown,
@@ -24,8 +24,11 @@
 
 namespace seg::obs {
 
+// One SEG_SPAN site's latency distribution. The histogram holds
+// nanoseconds; the quantiles are reported in microseconds (ns / 1e3), so
+// sub-microsecond phases read as fractions rather than 0.
 struct PhaseLatency {
-  std::string name;      // registry histogram name, e.g. "phase.sweep_us"
+  std::string name;      // registry histogram name, e.g. "span.sweep_ns"
   std::uint64_t count = 0;
   double p50_us = 0.0;
   double p95_us = 0.0;
@@ -55,7 +58,7 @@ struct RunReport {
   double wall_time_s = 0.0;  // campaign wall time, supplied by the caller
   std::uint64_t flips = 0;
   std::uint64_t checkpoints_written = 0;
-  std::vector<PhaseLatency> phases;       // SEG_TIMED histograms, sorted
+  std::vector<PhaseLatency> phases;       // SEG_SPAN histograms, sorted
   std::vector<WorkerUtilization> workers; // pool busy counters, sorted
 
   // Adaptive-stopping decision-trace summary.

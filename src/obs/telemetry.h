@@ -28,7 +28,6 @@
 // lists the registry names each layer emits.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -128,40 +127,6 @@ class Registry {
 double quantile_from_log2_buckets(const std::vector<std::uint64_t>& buckets,
                                   double q);
 
-// RAII phase timer behind SEG_TIMED: measures the scope's wall duration
-// and feeds the microsecond count into a log2 histogram, so phase
-// latency distributions (p50/p95/p99) are available from /metrics and
-// run reports — not only from Chrome traces. The id_fn indirection lets
-// the macro cache the registry handle in a function-local static while
-// this class stays non-template at the storage level; nothing (not even
-// a clock read) happens while telemetry is runtime-disabled.
-class ScopedTimer {
- public:
-  template <typename IdFn>
-  explicit ScopedTimer(IdFn id_fn) {
-    if (enabled()) {
-      id_ = id_fn();
-      active_ = true;
-      start_ = std::chrono::steady_clock::now();
-    }
-  }
-  ~ScopedTimer() {
-    if (active_) {
-      const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now() - start_)
-                          .count();
-      Registry::instance().observe(id_, static_cast<std::uint64_t>(us));
-    }
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  MetricId id_;
-  bool active_ = false;
-  std::chrono::steady_clock::time_point start_;
-};
-
 }  // namespace seg::obs
 
 // ---- instrumentation macros --------------------------------------------
@@ -169,18 +134,10 @@ class ScopedTimer {
 // `name` must be a string literal (the handle is cached in a static
 // local, so one call site must always name the same metric).
 
-#ifndef SEG_OBS_CONCAT
-#define SEG_OBS_CONCAT_INNER(a, b) a##b
-#define SEG_OBS_CONCAT(a, b) SEG_OBS_CONCAT_INNER(a, b)
-#endif
-
 #if defined(SEG_TELEMETRY_DISABLED)
 
 #define SEG_COUNT(name, delta) \
   do {                         \
-  } while (0)
-#define SEG_TIMED(name) \
-  do {                  \
   } while (0)
 #define SEG_GAUGE_SET(name, value) \
   do {                             \
@@ -234,17 +191,5 @@ class ScopedTimer {
           seg_obs_id, static_cast<std::uint64_t>(value));           \
     }                                                               \
   } while (0)
-
-// Scoped phase-latency timer: the histogram `name` (microsecond values)
-// receives the duration of the rest of the enclosing block. Place next
-// to SEG_TRACE_SPAN so every traced phase also has a scrapeable latency
-// distribution. Costs one relaxed bool load + branch while disabled.
-#define SEG_TIMED(name)                                               \
-  ::seg::obs::ScopedTimer SEG_OBS_CONCAT(seg_timed_, __LINE__)(       \
-      []() -> ::seg::obs::MetricId {                                  \
-        static const ::seg::obs::MetricId seg_timed_id =              \
-            ::seg::obs::Registry::instance().histogram(name);         \
-        return seg_timed_id;                                          \
-      })
 
 #endif  // SEG_TELEMETRY_DISABLED

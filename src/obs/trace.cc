@@ -24,7 +24,7 @@ struct Event {
   double ts_us;
   double dur_us;        // "X" events only
   std::int64_t value;   // "C" events only
-  char phase;           // 'X', 'i', or 'C'
+  char phase;           // 'X' or 'C'
 };
 
 struct TraceBuffer {
@@ -117,21 +117,16 @@ TraceSession* TraceSession::current() {
   return g_current.load(std::memory_order_relaxed);
 }
 
-double TraceSession::now_us() const {
-  return std::chrono::duration<double, std::micro>(Clock::now() -
-                                                   impl_->epoch)
-      .count();
+double TraceSession::now_us() const { return us_since_start(Clock::now()); }
+
+double TraceSession::us_since_start(Clock::time_point t) const {
+  return std::chrono::duration<double, std::micro>(t - impl_->epoch).count();
 }
 
 void TraceSession::record_complete(const char* name, double ts_us,
                                    double dur_us) {
   impl_->local_buffer()->events.push_back(
       Event{name, ts_us, dur_us, 0, 'X'});
-}
-
-void TraceSession::record_instant(const char* name) {
-  impl_->local_buffer()->events.push_back(
-      Event{name, now_us(), 0.0, 0, 'i'});
 }
 
 void TraceSession::record_counter(const char* name, std::int64_t value) {
@@ -167,9 +162,7 @@ std::string TraceSession::to_json() const {
       if (e.phase == 'X') {
         std::snprintf(num, sizeof(num), ",\"dur\":%.3f", e.dur_us);
         out.append(num);
-      } else if (e.phase == 'i') {
-        out.append(",\"s\":\"t\"");
-      } else if (e.phase == 'C') {
+      } else {
         std::snprintf(num, sizeof(num), ",\"args\":{\"value\":%lld}",
                       static_cast<long long>(e.value));
         out.append(num);
@@ -188,6 +181,20 @@ bool TraceSession::write_json(const std::string& path) const {
   const bool ok =
       std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
   return (std::fclose(f) == 0) && ok;
+}
+
+void Span::finish() {
+  const Clock::time_point end = Clock::now();
+  if (timed_) {
+    const auto ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_);
+    Registry::instance().observe(id_, static_cast<std::uint64_t>(ns.count()));
+  }
+  if (session_ != nullptr) {
+    session_->record_complete(
+        name_, session_->us_since_start(start_),
+        std::chrono::duration<double, std::micro>(end - start_).count());
+  }
 }
 
 }  // namespace seg::obs

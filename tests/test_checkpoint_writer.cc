@@ -272,8 +272,8 @@ TEST(CheckpointWriterObservability, SavesAndDrainAreTracedAndTimed) {
   std::uint64_t drains = 0;
   std::uint64_t writes = 0;
   for (const obs::PhaseLatency& phase : report.phases) {
-    if (phase.name == "phase.checkpoint_drain_us") drains = phase.count;
-    if (phase.name == "phase.checkpoint_write_us") writes = phase.count;
+    if (phase.name == "span.checkpoint_drain_ns") drains = phase.count;
+    if (phase.name == "span.checkpoint_write_ns") writes = phase.count;
   }
   EXPECT_EQ(drains, 1u);
   EXPECT_GE(writes, 1u);

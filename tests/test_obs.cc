@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/dynamics.h"
@@ -148,7 +149,6 @@ TEST(Trace, JsonIsWellFormedAcrossThreads) {
         const double start = session.now_us();
         session.record_complete("span \"quoted\\\n", start,
                                 session.now_us() - start);
-        session.record_instant("tick");
         session.record_counter("queue", i - 25);
       }
     });
@@ -156,19 +156,18 @@ TEST(Trace, JsonIsWellFormedAcrossThreads) {
   for (std::thread& th : threads) th.join();
   session.stop();
   EXPECT_FALSE(session.active());
-  EXPECT_EQ(session.event_count(), 4u * 50u * 3u);
+  EXPECT_EQ(session.event_count(), 4u * 50u * 2u);
   const std::string doc = session.to_json();
   EXPECT_TRUE(json_well_formed(doc)) << doc.substr(0, 400);
   EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(doc.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(doc.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(doc.find("\"ph\":\"C\""), std::string::npos);
 }
 
 TEST(Trace, FirstSessionWinsAndSpansNoOpWithoutOne) {
   {
     // No active session: spans must be harmless.
-    obs::TraceSpan idle("idle");
+    SEG_SPAN("idle");
   }
   obs::TraceSession first;
   obs::TraceSession second;
@@ -184,7 +183,7 @@ TEST(Trace, FirstSessionWinsAndSpansNoOpWithoutOne) {
 TEST(Trace, WriteJsonRoundTripsThroughDisk) {
   obs::TraceSession session;
   session.start();
-  session.record_instant("only");
+  session.record_complete("only", session.now_us(), 0.0);
   session.stop();
   const std::string path = ::testing::TempDir() + "seg_test_trace.json";
   ASSERT_TRUE(session.write_json(path));
@@ -194,6 +193,92 @@ TEST(Trace, WriteJsonRoundTripsThroughDisk) {
   EXPECT_EQ(buf.str(), session.to_json());
   std::remove(path.c_str());
 }
+
+// ---- SEG_SPAN: one clock pair feeds the trace and the histogram --------
+
+#if !defined(SEG_TELEMETRY_DISABLED)
+
+// Observations in a histogram so far (0 when the name is unknown).
+std::uint64_t histogram_count(const std::string& name) {
+  std::uint64_t total = 0;
+  for (const std::uint64_t b :
+       obs::Registry::instance().histogram_buckets(name)) {
+    total += b;
+  }
+  return total;
+}
+
+// Occurrences of a "X" event named `name` in a trace document.
+std::size_t complete_events(const std::string& doc, const std::string& name) {
+  const std::string needle =
+      "{\"name\":\"" + name + "\",\"cat\":\"seg\",\"ph\":\"X\"";
+  std::size_t count = 0;
+  for (std::size_t at = doc.find(needle); at != std::string::npos;
+       at = doc.find(needle, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+// One SEG_SPAN call site, shared by every case below, around `spin`
+// iterations of work the optimizer cannot drop.
+void spanned_work(int spin) {
+  SEG_SPAN("test_obs_span");
+  volatile std::uint64_t sink = 0;
+  for (int i = 0; i < spin; ++i) sink = sink + static_cast<std::uint64_t>(i);
+}
+
+// Runs one span with the given sinks on and returns the number of "X"
+// events and histogram observations it produced.
+std::pair<std::size_t, std::uint64_t> run_span(bool telemetry, bool session) {
+  obs::TraceSession trace;
+  if (session) trace.start();
+  obs::set_enabled(telemetry);
+  const std::uint64_t before = histogram_count("span.test_obs_span_ns");
+  spanned_work(8);
+  const std::uint64_t after = histogram_count("span.test_obs_span_ns");
+  obs::set_enabled(false);
+  trace.stop();
+  return {complete_events(trace.to_json(), "test_obs_span"), after - before};
+}
+
+TEST(Span, BothSinksGetOneRecordEach) {
+  const auto [events, observations] = run_span(true, true);
+  EXPECT_EQ(events, 1u);
+  EXPECT_EQ(observations, 1u);
+}
+
+TEST(Span, TelemetryOnlyFeedsHistogramOnly) {
+  const auto [events, observations] = run_span(true, false);
+  EXPECT_EQ(events, 0u);
+  EXPECT_EQ(observations, 1u);
+}
+
+TEST(Span, SessionOnlyFeedsTraceOnly) {
+  const auto [events, observations] = run_span(false, true);
+  EXPECT_EQ(events, 1u);
+  EXPECT_EQ(observations, 0u);
+}
+
+TEST(Span, NoSinkRecordsNothing) {
+  const auto [events, observations] = run_span(false, false);
+  EXPECT_EQ(events, 0u);
+  EXPECT_EQ(observations, 0u);
+}
+
+// A few hundred nanoseconds of work must not read as zero: the
+// histogram holds nanoseconds, not truncated microseconds.
+TEST(Span, SubMicrosecondSpansResolve) {
+  obs::set_enabled(true);
+  obs::Registry::instance().reset_values();
+  for (int i = 0; i < 64; ++i) spanned_work(100);
+  const double p50 = obs::Registry::instance().histogram_quantile(
+      "span.test_obs_span_ns", 0.5);
+  obs::set_enabled(false);
+  EXPECT_GT(p50, 0.0);
+}
+
+#endif  // !SEG_TELEMETRY_DISABLED
 
 // ---- differential: telemetry must not perturb trajectories -------------
 

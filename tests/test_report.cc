@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -28,6 +29,19 @@ struct ScopedTelemetry {
   }
   ~ScopedTelemetry() { obs::set_enabled(false); }
 };
+
+// The report reads the registry however it was filled. These write it
+// directly rather than through the SEG_* macros, so the tests also run
+// in a -DSEG_TELEMETRY=OFF build, where the macros compile to nothing.
+void count(const std::string& name, std::uint64_t delta) {
+  obs::Registry& reg = obs::Registry::instance();
+  reg.add(reg.counter(name), delta);
+}
+
+void observe(const std::string& name, std::uint64_t value) {
+  obs::Registry& reg = obs::Registry::instance();
+  reg.observe(reg.histogram(name), value);
+}
 
 TEST(HistogramQuantile, InterpolatesWithinLog2Buckets) {
   // 100 observations of value 10 (bucket b=4, range [8,15]): every
@@ -61,7 +75,7 @@ TEST(HistogramQuantile, EmptyHistogramIsNan) {
 
 TEST(HistogramQuantile, RegistryLookupMatchesFreeFunction) {
   ScopedTelemetry telemetry;
-  for (int i = 0; i < 100; ++i) SEG_HISTOGRAM("report_test.q_us", 100);
+  for (int i = 0; i < 100; ++i) observe("report_test.q_us", 100);
   const double p50 =
       obs::Registry::instance().histogram_quantile("report_test.q_us", 0.5);
   EXPECT_GE(p50, 64.0);
@@ -90,10 +104,10 @@ CampaignResult fake_result() {
 
 TEST(RunReport, FoldsResultAndRegistry) {
   ScopedTelemetry telemetry;
-  SEG_COUNT("campaign.checkpoints", 3);
-  SEG_COUNT("pool.campaign.worker.0.busy_us", 500000);
-  for (int i = 0; i < 32; ++i) SEG_HISTOGRAM("phase.sweep_us", 100 + i);
-  SEG_HISTOGRAM("streaming.split_piece_sites", 64);  // not a phase
+  count("campaign.checkpoints", 3);
+  count("pool.campaign.worker.0.busy_us", 500000);
+  for (int i = 0; i < 32; ++i) observe("span.sweep_ns", 100 + i);
+  observe("streaming.split_piece_sites", 64);  // not a phase
 
   const obs::RunReport rep = obs::build_report(fake_result(), 1.0);
   EXPECT_EQ(rep.seed, 99u);
@@ -107,8 +121,8 @@ TEST(RunReport, FoldsResultAndRegistry) {
   EXPECT_EQ(rep.min_stop_replicas, 5u);
   EXPECT_EQ(rep.max_stop_replicas, 5u);
 
-  ASSERT_EQ(rep.phases.size(), 1u) << "only phase.* histograms qualify";
-  EXPECT_EQ(rep.phases[0].name, "phase.sweep_us");
+  ASSERT_EQ(rep.phases.size(), 1u) << "only span.* histograms qualify";
+  EXPECT_EQ(rep.phases[0].name, "span.sweep_ns");
   EXPECT_EQ(rep.phases[0].count, 32u);
   EXPECT_LE(rep.phases[0].p50_us, rep.phases[0].p95_us);
   EXPECT_LE(rep.phases[0].p95_us, rep.phases[0].p99_us);
@@ -119,24 +133,24 @@ TEST(RunReport, FoldsResultAndRegistry) {
 
 TEST(RunReport, JsonRenderIsWellFormed) {
   ScopedTelemetry telemetry;
-  for (int i = 0; i < 8; ++i) SEG_HISTOGRAM("phase.reconcile_us", 50);
+  for (int i = 0; i < 8; ++i) observe("span.reconcile_ns", 50);
   const std::string doc = obs::render_json(obs::build_report(fake_result(),
                                                              2.5));
   EXPECT_TRUE(json_well_formed(doc)) << doc;
   EXPECT_NE(doc.find("\"decision_trace_hash\""), std::string::npos);
-  EXPECT_NE(doc.find("\"phase.reconcile_us\""), std::string::npos);
+  EXPECT_NE(doc.find("\"span.reconcile_ns\""), std::string::npos);
   EXPECT_NE(doc.find("\"wall_time_s\": 2.5"), std::string::npos);
 }
 
 TEST(RunReport, MarkdownRenderHasSections) {
   ScopedTelemetry telemetry;
-  for (int i = 0; i < 8; ++i) SEG_HISTOGRAM("phase.sweep_us", 200);
+  for (int i = 0; i < 8; ++i) observe("span.sweep_ns", 200);
   const std::string md =
       obs::render_markdown(obs::build_report(fake_result(), 1.0));
   EXPECT_NE(md.find("# Campaign run report"), std::string::npos);
   EXPECT_NE(md.find("## Phase latencies"), std::string::npos);
   EXPECT_NE(md.find("## Adaptive stopping"), std::string::npos);
-  EXPECT_NE(md.find("| phase.sweep_us |"), std::string::npos);
+  EXPECT_NE(md.find("| span.sweep_ns |"), std::string::npos);
 }
 
 TEST(RunReport, WriteDispatchesOnExtension) {
