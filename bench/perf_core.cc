@@ -1,7 +1,8 @@
 // PERF — engineering microbenchmarks for the hot paths: model
 // construction (separable box sums), single flips (O(N) incremental
 // updates), full Glauber runs, the distance transform and cover pass
-// behind the region metrics, and prefix-sum construction.
+// behind the region metrics, the almost-mono field, and prefix-sum
+// construction.
 #include <benchmark/benchmark.h>
 
 #include <arpa/inet.h>
@@ -9,11 +10,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <thread>
 
+#include "analysis/almost.h"
 #include "analysis/clusters.h"
 #include "analysis/correlation.h"
 #include "analysis/regions.h"
@@ -465,6 +468,28 @@ void BM_MeanMonoRegion(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n);
 }
 BENCHMARK(BM_MeanMonoRegion)->Args({256, 0})->Args({256, 1})->Args({256, 2});
+
+// The M' field of region_size replicas: a Glauber-evolved state at the
+// builtin's side n = max(64, 24w), tau = 0.45, p = 0.5, thresholded at
+// eps = 0.1 and fed the mono field that M has already built, as the
+// campaign's metric context does. w = 1..5 takes the largest allowed
+// minority from about 0.29 of a ball down to none.
+void BM_AlmostMonoField(benchmark::State& state) {
+  const int w = static_cast<int>(state.range(0));
+  const int n = std::max(64, 24 * w);
+  seg::Rng rng(8);
+  seg::SchellingModel model({.n = n, .w = w, .tau = 0.45, .p = 0.5}, rng);
+  seg::run_glauber(model, rng);
+  const std::vector<std::int8_t> spins = model.spins();
+  const seg::MonoRegionField mono = seg::mono_region_field(spins, n);
+  const double threshold =
+      seg::almost_mono_threshold(0.1, model.neighborhood_size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(seg::almost_mono_field(spins, mono, threshold));
+  }
+  state.SetItemsProcessed(state.iterations() * n * n);
+}
+BENCHMARK(BM_AlmostMonoField)->DenseRange(1, 5)->Unit(benchmark::kMicrosecond);
 
 void BM_PrefixSumBuild(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

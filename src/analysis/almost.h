@@ -21,11 +21,24 @@ struct AlmostMonoField : RegionField {
 };
 
 // Computes the per-center almost-monochromatic radii and their cover.
-// max_radius bounds the search (and the cost, O(n^2 * max_radius)); it
-// defaults to the largest proper ball, (n-1)/2, when <= 0.
+// max_radius (R) bounds the search; it defaults to the largest proper
+// ball, (n-1)/2, when <= 0. The cost is output-sensitive rather than
+// O(n^2 * R): an O((n + 2R)^2) summed-area table, then O(1) box sums for
+// short runs of row neighbours, from one past their smallest
+// monochromatic radius until each of their minority counts exceeds the
+// largest count R's ball may hold. With no minority allowed at R (the
+// paper's eps = 0.1 at w >= 5) the table is skipped and the field is the
+// monochromatic radius clamped to R.
 AlmostMonoField almost_mono_field(const std::vector<std::int8_t>& spins,
                                   int n, double ratio_threshold,
                                   int max_radius = 0);
+
+// The same field, with the monochromatic radii read from `mono` (the mono
+// field of the same spins) instead of recomputed; `mono.cover` is reused
+// whenever the radius fields coincide.
+AlmostMonoField almost_mono_field(const std::vector<std::int8_t>& spins,
+                                  const MonoRegionField& mono,
+                                  double ratio_threshold, int max_radius = 0);
 
 // Paper's threshold e^{-eps N} for the given dynamics neighborhood size.
 double almost_mono_threshold(double eps, int neighborhood_size);

@@ -165,16 +165,22 @@ const std::vector<std::int8_t>& MetricContext::spins() {
 
 const MonoRegionField& MetricContext::mono() {
   if (!mono_) {
+    const std::vector<std::int8_t>& s = spins();
+    SEG_SPAN("mono_field");
     mono_ = std::make_unique<MonoRegionField>(
-        mono_region_field(spins(), model.side()));
+        mono_region_field(s, model.side()));
   }
   return *mono_;
 }
 
 const AlmostMonoField& MetricContext::almost() {
   if (!almost_) {
+    // Each center's scan starts at its mono radius, which M has usually
+    // paid for already.
+    const MonoRegionField& m = mono();
+    SEG_SPAN("almost_field");
     almost_ = std::make_unique<AlmostMonoField>(almost_mono_field(
-        spins(), model.side(),
+        spins(), m,
         almost_mono_threshold(spec.almost_eps, model.neighborhood_size())));
   }
   return *almost_;
@@ -182,8 +188,9 @@ const AlmostMonoField& MetricContext::almost() {
 
 const ClusterStats& MetricContext::clusters() {
   if (!clusters_) {
-    clusters_ =
-        std::make_unique<ClusterStats>(cluster_stats(spins(), model.side()));
+    const std::vector<std::int8_t>& s = spins();
+    SEG_SPAN("cluster_field");
+    clusters_ = std::make_unique<ClusterStats>(cluster_stats(s, model.side()));
   }
   return *clusters_;
 }

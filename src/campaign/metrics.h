@@ -6,7 +6,9 @@
 //
 // Expensive derived structures (the mono-region distance transform, the
 // cluster decomposition, the almost-mono field) are computed lazily and
-// shared across the metrics of one replica.
+// shared across the metrics of one replica. The almost-mono field starts
+// from the mono field's radii, so it builds that first. Each build runs
+// under a span (mono_field, almost_field, cluster_field).
 #pragma once
 
 #include <memory>

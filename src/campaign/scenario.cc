@@ -321,6 +321,21 @@ bool ScenarioSpec::valid_for_columns(const std::vector<std::string>& columns,
   if (replicas == 0) return fail(error, "replicas must be >= 1");
   if (shards == 0) return fail(error, "shards must be >= 1");
   if (columns.empty()) return fail(error, "at least one metric is required");
+  // A threshold e^{-eps N} >= 1 would pass every ball, whole torus
+  // included; NaN fails the test too.
+  if (!(almost_eps > 0.0)) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "almost_eps must be > 0, got %g",
+                  almost_eps);
+    return fail(error, buf);
+  }
+  // The E[M] / E[M'] estimators average region_samples draws.
+  for (const std::string& c : columns) {
+    if (region_samples == 0 &&
+        (c == "mean_mono_region" || c == "mean_almost_region")) {
+      return fail(error, "region_samples must be >= 1 for metric '" + c + "'");
+    }
+  }
   // Builder preconditions are validated here, not in the builders: their
   // SEG_ASSERTs compile out of release builds, so the spec layer is the
   // real guard for user-supplied parameters.

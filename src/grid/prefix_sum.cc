@@ -57,21 +57,6 @@ std::int64_t PrefixSum2D::box_sum(int cx, int cy, int r) const {
   return rect_sum(cx - r, cy - r, cx + r, cy + r);
 }
 
-void PrefixSum2D::box_sums_row(int cy, int r, std::int64_t* out) const {
-  assert(cy >= 0 && cy < n_ && r >= 0 && 2 * r + 1 <= n_);
-  const std::size_t stride = static_cast<std::size_t>(m_) + 1;
-  const int side = 2 * r + 1;
-  const int by = cy >= r ? cy - r : cy - r + n_;
-  const std::int64_t* top = table_.data() + static_cast<std::size_t>(by) * stride;
-  const std::int64_t* bottom = top + static_cast<std::size_t>(side) * stride;
-  const auto box = [&](int bx) {
-    return bottom[bx + side] - bottom[bx] - top[bx + side] + top[bx];
-  };
-  // Boxes of the first r centers start one period later, across the seam.
-  for (int cx = 0; cx < r; ++cx) out[cx] = box(cx - r + n_);
-  for (int cx = r; cx < n_; ++cx) out[cx] = box(cx - r);
-}
-
 std::int64_t PrefixSum2D::total() const {
   return rect_sum(0, 0, n_ - 1, n_ - 1);
 }

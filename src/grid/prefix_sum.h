@@ -1,9 +1,8 @@
 // O(1) rectangle/box queries on the torus via a 2x2 replicated summed-area
 // table. Build is O(n^2); any axis-aligned box whose side is < n can then
 // be summed in constant time, including boxes that wrap around the torus
-// seam. Used by the almost-monochromatic region analysis (Thm. 2) and the
-// renormalization good-block classifier (Lemma 11), both of which issue
-// millions of box queries.
+// seam. Used by the renormalization good-block classifier (Lemma 11),
+// which issues millions of box queries.
 #pragma once
 
 #include <cstdint>
@@ -27,11 +26,6 @@ class PrefixSum2D {
   // Sum over the l-infinity ball of radius r centered at (cx, cy).
   // Requires 2r+1 <= n.
   std::int64_t box_sum(int cx, int cy, int r) const;
-
-  // box_sum(cx, cy, r) for every cx in [0, n), written to out[cx]: one
-  // contiguous pass with no per-box wrapping. Requires 0 <= cy < n and
-  // 2r+1 <= n.
-  void box_sums_row(int cy, int r, std::int64_t* out) const;
 
   // Total sum of the grid.
   std::int64_t total() const;

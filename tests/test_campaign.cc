@@ -4,7 +4,9 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -171,6 +173,47 @@ TEST(Scenario, ShardsNeedGlauberDynamics) {
   EXPECT_EQ(error,
             "shards = 2 needs glauber dynamics, but the dynamics axis holds "
             "synchronous");
+}
+
+TEST(Scenario, AlmostEpsMustBePositive) {
+  // A threshold e^{-eps N} >= 1 passes every ball: E[M'] would read the
+  // whole torus. NaN is refused with the rest.
+  std::string error;
+  ScenarioSpec spec = small_spec();
+  spec.metrics = {"mean_almost_region"};
+  for (const auto& [eps, shown] :
+       {std::pair{0.0, "0"}, std::pair{-1.0, "-1"},
+        std::pair{std::numeric_limits<double>::quiet_NaN(), "nan"}}) {
+    spec.almost_eps = eps;
+    EXPECT_FALSE(spec.valid(&error)) << shown;
+    EXPECT_EQ(error, std::string("almost_eps must be > 0, got ") + shown);
+  }
+  spec.almost_eps = 1e-9;
+  EXPECT_TRUE(spec.valid(&error)) << error;
+
+  ScenarioSpec parsed;
+  EXPECT_FALSE(ScenarioSpec::parse("n = 16\nalmost_eps = 0\n", &parsed,
+                                   &error));
+  EXPECT_EQ(error, "almost_eps must be > 0, got 0");
+}
+
+TEST(Scenario, RegionMeansNeedRegionSamples) {
+  // mean_region_size divides by the sample count; the other metrics draw
+  // no samples, so they run with none.
+  std::string error;
+  ScenarioSpec spec = small_spec();
+  spec.region_samples = 0;
+  EXPECT_FALSE(spec.valid(&error));
+  EXPECT_EQ(error, "region_samples must be >= 1 for metric 'mean_mono_region'");
+  spec.metrics = {"flips", "largest_almost_region", "mean_almost_region"};
+  EXPECT_FALSE(spec.valid(&error));
+  EXPECT_EQ(error,
+            "region_samples must be >= 1 for metric 'mean_almost_region'");
+  spec.metrics = {"flips", "largest_mono_region", "largest_almost_region"};
+  EXPECT_TRUE(spec.valid(&error)) << error;
+  spec.region_samples = 1;
+  spec.metrics = {"mean_mono_region", "mean_almost_region"};
+  EXPECT_TRUE(spec.valid(&error)) << error;
 }
 
 TEST(Scenario, ParseRejectsUnknownMetricAndKey) {

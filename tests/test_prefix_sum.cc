@@ -111,24 +111,6 @@ TEST_P(PrefixSumParam, RandomRectsMatchNaive) {
   }
 }
 
-TEST_P(PrefixSumParam, BoxSumsRowMatchBoxSum) {
-  const int n = GetParam();
-  Rng rng(7 + n);
-  std::vector<std::int32_t> v(static_cast<std::size_t>(n) * n);
-  for (auto& x : v) x = static_cast<std::int32_t>(rng.uniform_int(-3, 9));
-  const PrefixSum2D p(v, n);
-  std::vector<std::int64_t> row(n);
-  for (int r = 0; 2 * r + 1 <= n; ++r) {
-    for (int cy = 0; cy < n; ++cy) {
-      p.box_sums_row(cy, r, row.data());
-      for (int cx = 0; cx < n; ++cx) {
-        EXPECT_EQ(row[cx], p.box_sum(cx, cy, r))
-            << "r=" << r << " center (" << cx << "," << cy << ")";
-      }
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Sizes, PrefixSumParam,
                          ::testing::Values(2, 3, 5, 8, 13, 21));
 

@@ -83,12 +83,13 @@ std::int32_t brute_mono_radius(const Spins& spins, int n, int cx, int cy) {
   return 0;
 }
 
-// Largest radius r <= (n-1)/2 whose ball passes the almost-monochromatic
-// ratio test, by direct counting.
+// Largest radius r <= max_radius (and <= (n-1)/2) whose ball passes the
+// almost-monochromatic ratio test, by direct counting.
 std::int32_t brute_almost_radius(const Spins& spins, int n, int cx, int cy,
-                                 double threshold) {
+                                 double threshold, int max_radius = 0) {
+  if (max_radius <= 0) max_radius = (n - 1) / 2;
   std::int32_t best = 0;
-  for (int r = 1; r <= (n - 1) / 2; ++r) {
+  for (int r = 1; r <= std::min(max_radius, (n - 1) / 2); ++r) {
     std::int64_t plus = 0;
     for (int dy = -r; dy <= r; ++dy) {
       for (int dx = -r; dx <= r; ++dx) {
@@ -304,6 +305,87 @@ TEST(RegionDifferential, AlmostRadiusMatchesDirectCount) {
               << y << ")";
         }
       }
+    }
+  }
+}
+
+// The paper's thresholds e^{-eps N} at eps = 0.1 and N = (2w+1)^2 for
+// w = 1..5: the largest allowance runs from about 0.29 of a ball at w = 1
+// down to none at w = 5, where M' is M.
+std::vector<double> paper_thresholds() {
+  std::vector<double> out;
+  for (int w = 1; w <= 5; ++w) {
+    out.push_back(almost_mono_threshold(0.1, (2 * w + 1) * (2 * w + 1)));
+  }
+  return out;
+}
+
+// Every center's radius against direct counting, and the mono-fed field's
+// radius and cover against the standalone field's.
+void expect_almost_matches(const Spins& spins, int n, double threshold,
+                           int max_radius, const std::string& name) {
+  const AlmostMonoField field =
+      almost_mono_field(spins, n, threshold, max_radius);
+  for (int y = 0; y < n; ++y) {
+    for (int x = 0; x < n; ++x) {
+      ASSERT_EQ(field.radius[static_cast<std::size_t>(y) * n + x],
+                brute_almost_radius(spins, n, x, y, threshold, max_radius))
+          << name << " threshold=" << threshold
+          << " max_radius=" << max_radius << " at (" << x << "," << y << ")";
+    }
+  }
+  const AlmostMonoField fed = almost_mono_field(
+      spins, mono_region_field(spins, n), threshold, max_radius);
+  EXPECT_EQ(fed.n, n) << name;
+  EXPECT_EQ(fed.ratio_threshold, field.ratio_threshold) << name;
+  EXPECT_EQ(fed.radius, field.radius)
+      << name << " threshold=" << threshold << " max_radius=" << max_radius;
+  EXPECT_EQ(fed.cover, field.cover)
+      << name << " threshold=" << threshold << " max_radius=" << max_radius;
+}
+
+TEST(RegionDifferential, AlmostRadiusMatchesDirectCountAtPaperThresholds) {
+  // Also a zero threshold (no minority allowed) and a negative one, which
+  // fails even monochromatic balls.
+  std::vector<double> thresholds = paper_thresholds();
+  thresholds.push_back(0.0);
+  thresholds.push_back(-0.1);
+  for (const Case& c : cases()) {
+    if (c.n > 16) continue;
+    for (const double threshold : thresholds) {
+      expect_almost_matches(c.spins, c.n, threshold, 0, c.name);
+    }
+  }
+}
+
+TEST(RegionDifferential, AlmostRadiusHonoursExplicitMaxRadius) {
+  // Caps below most mono radii (1, 2), inside their range, at the largest
+  // proper ball and past it (clamped to (n-1)/2).
+  for (const Case& c : cases()) {
+    if (c.n > 16) continue;
+    for (const int max_radius : {1, 2, c.n / 4, (c.n - 1) / 2, c.n + 3}) {
+      for (const double threshold : {0.05, 0.3, paper_thresholds()[1]}) {
+        expect_almost_matches(c.spins, c.n, threshold, max_radius, c.name);
+      }
+    }
+  }
+}
+
+TEST(RegionDifferential, AlmostRadiusMatchesDirectCountOnSegregatedFields) {
+  // Glauber-evolved fields at the sides where whole segregated regions,
+  // and so long scans past the mono radius, appear.
+  for (const auto& [n, w, tau] :
+       {std::tuple{31, 1, 0.45}, std::tuple{31, 2, 0.42},
+        std::tuple{40, 2, 0.45}, std::tuple{40, 3, 0.44}}) {
+    const Spins spins = evolved_field(n, w, tau, 5);
+    const std::string name = "evolved n=" + std::to_string(n) +
+                             " w=" + std::to_string(w);
+    for (const double threshold : paper_thresholds()) {
+      expect_almost_matches(spins, n, threshold, 0, name);
+    }
+    for (const int max_radius : {3, n / 3}) {
+      expect_almost_matches(spins, n, paper_thresholds()[0], max_radius,
+                            name);
     }
   }
 }
