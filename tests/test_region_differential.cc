@@ -290,25 +290,6 @@ TEST(RegionDifferential, MonoCoverMatchesScanEverywhere) {
   }
 }
 
-TEST(RegionDifferential, AlmostRadiusMatchesDirectCount) {
-  // 1/8 and 2/23 are exact minority ratios of radius-1 and radius-2 balls,
-  // where the ratio test's equality case decides.
-  for (const Case& c : cases()) {
-    if (c.n > 16) continue;
-    for (const double threshold : {1.0 / 8, 2.0 / 23, 0.05, 0.3, 1.0}) {
-      const AlmostMonoField field = almost_mono_field(c.spins, c.n, threshold);
-      for (int y = 0; y < c.n; ++y) {
-        for (int x = 0; x < c.n; ++x) {
-          ASSERT_EQ(field.radius[static_cast<std::size_t>(y) * c.n + x],
-                    brute_almost_radius(c.spins, c.n, x, y, threshold))
-              << c.name << " threshold=" << threshold << " at (" << x << ","
-              << y << ")";
-        }
-      }
-    }
-  }
-}
-
 // The paper's thresholds e^{-eps N} at eps = 0.1 and N = (2w+1)^2 for
 // w = 1..5: the largest allowance runs from about 0.29 of a ball at w = 1
 // down to none at w = 5, where M' is M.
@@ -344,12 +325,13 @@ void expect_almost_matches(const Spins& spins, int n, double threshold,
       << name << " threshold=" << threshold << " max_radius=" << max_radius;
 }
 
-TEST(RegionDifferential, AlmostRadiusMatchesDirectCountAtPaperThresholds) {
-  // Also a zero threshold (no minority allowed) and a negative one, which
-  // fails even monochromatic balls.
-  std::vector<double> thresholds = paper_thresholds();
-  thresholds.push_back(0.0);
-  thresholds.push_back(-0.1);
+TEST(RegionDifferential, AlmostRadiusMatchesDirectCount) {
+  // 1/8 and 2/23 are exact minority ratios of radius-1 and radius-2 balls,
+  // where the ratio test's equality case decides. Zero allows no minority;
+  // a negative threshold fails even monochromatic balls.
+  std::vector<double> thresholds = {1.0 / 8, 2.0 / 23, 0.05, 0.3, 1.0, 0.0,
+                                    -0.1};
+  for (const double t : paper_thresholds()) thresholds.push_back(t);
   for (const Case& c : cases()) {
     if (c.n > 16) continue;
     for (const double threshold : thresholds) {
