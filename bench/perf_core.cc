@@ -137,10 +137,16 @@ void BM_FlipTelemetry(benchmark::State& state) {
 }
 BENCHMARK(BM_FlipTelemetry)->Arg(0)->Arg(1);
 
+// BM_GlauberRun/<n>/<w>/<clock>: one full run to absorption. clock 1 is
+// the timed loop (an Exp(|flippable|) waiting time per flip), clock 0
+// the untimed loop campaigns run when no time column is requested; both
+// make the same flips.
 void BM_GlauberRun(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int w = static_cast<int>(state.range(1));
   seg::ModelParams params{.n = n, .w = w, .tau = 0.45, .p = 0.5};
+  seg::RunOptions opt;
+  opt.track_time = state.range(2) != 0;
   std::uint64_t flips = 0;
   for (auto _ : state) {
     state.PauseTiming();
@@ -148,17 +154,14 @@ void BM_GlauberRun(benchmark::State& state) {
     seg::SchellingModel model(params, init);
     seg::Rng dyn(4);
     state.ResumeTiming();
-    const seg::RunResult r = seg::run_glauber(model, dyn);
+    const seg::RunResult r = seg::run_glauber(model, dyn, opt);
     benchmark::DoNotOptimize(r.flips);
     flips += r.flips;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(flips));
 }
-BENCHMARK(BM_GlauberRun)
-    ->Args({64, 2})
-    ->Args({128, 2})
-    ->Args({128, 4})
-    ->Args({128, 10});
+BENCHMARK(BM_GlauberRun)->ArgsProduct({{64}, {2}, {0, 1}});
+BENCHMARK(BM_GlauberRun)->ArgsProduct({{128}, {2, 4, 10}, {0, 1}});
 
 // One GET /metrics against the loopback endpoint; the scraper thread in
 // BM_GlauberRunScraped calls this at its polling cadence.

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Emits BENCH_core.json at the repo root: the core hot-path benchmarks
-# (BM_Flip/<w> and BM_GlauberRun/<n>/<w> at w in {2, 4, 10}, the
+# (BM_Flip/<w> and BM_GlauberRun/<n>/<w>/<clock> at w in {2, 4, 10}, the
 # BM_FlipGraphTorus/<w> graph-mode rows, the BM_GlauberSweep/<n>/<shards>
 # giant-lattice scaling curve: serial engine vs 1/2/4/8 stripe shards at
 # n in {1024, 2048, 4096}, the BM_AdaptiveCampaign fixed-vs-adaptive
@@ -96,8 +96,12 @@ region = {}        # field label -> ns; BM_MeanMonoRegion/256/<field>
 for bench in raw.get("benchmarks", []):
     name = bench.get("name", "")
     parts = name.split("/")
+    if name.startswith("BM_GlauberRun/") and not name.endswith("/1"):
+        continue  # untimed row; the baselines all ran the clock
     if name.startswith(("BM_Flip/", "BM_GlauberRun/")) and \
             bench.get("real_time"):
+        if name.startswith("BM_GlauberRun/"):
+            name = name.rsplit("/", 1)[0]  # BM_GlauberRun/<n>/<w>/<clock>
         flip_ns[name] = bench["real_time"]
         baseline = seed_ns.get(name)
         if baseline is not None:

@@ -1,5 +1,6 @@
 #include "campaign/metrics.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
@@ -53,10 +54,21 @@ constexpr MetricEntry kRegistry[] = {
     {"time", [](Ctx& c) { return c.run.final_time; }, true},
     {"terminated", [](Ctx& c) { return c.run.terminated ? 1.0 : 0.0; },
      true},
+    // fixation and majority read the +1 popcount, not the unpacked
+    // snapshot: the values of completely_segregated and majority_fraction
+    // on c.spins(), with the same division.
     {"fixation",
-     [](Ctx& c) { return completely_segregated(c.spins()) ? 1.0 : 0.0; },
+     [](Ctx& c) {
+       const double frac = c.model.plus_fraction();
+       return frac == 0.0 || frac == 1.0 ? 1.0 : 0.0;
+     },
      true},
-    {"majority", [](Ctx& c) { return majority_fraction(c.spins()); }, true},
+    {"majority",
+     [](Ctx& c) {
+       const double frac = c.model.plus_fraction();
+       return std::max(frac, 1.0 - frac);
+     },
+     true},
     {"happy_fraction", [](Ctx& c) { return c.model.happy_fraction(); }, true},
     {"unhappy_count", [](Ctx& c) { return count(c.model.count_unhappy()); },
      true},
@@ -308,6 +320,9 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
       expand_metric_names(spec.metrics);
   const bool needs_autocorr =
       metric_index(expanded, "streaming_autocorr_lag1") < expanded.size();
+  // Every other metric depends on the flip sequence only, so a serial
+  // Glauber run keeps its clock only when the time column reads it.
+  const bool needs_time = metric_index(expanded, "time") < expanded.size();
   bool needs_streaming = false;
   std::vector<MetricFn> fns;
   fns.reserve(expanded.size());
@@ -327,7 +342,7 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
   }
   // Shared by every copy of the returned closure: one campaign's replicas.
   auto cache = std::make_shared<TopologyCache>();
-  return [spec, fns, needs_streaming, needs_autocorr, cache](
+  return [spec, fns, needs_streaming, needs_autocorr, needs_time, cache](
              const ScenarioPoint& point, std::size_t /*replica*/,
              std::uint64_t replica_seed) {
     // Stream layout matches the bench convention: 0 = initial
@@ -370,6 +385,7 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
                          point.params.n / 64);
     RunOptions run_options;
     if (spec.max_flips > 0) run_options.max_flips = spec.max_flips;
+    run_options.track_time = needs_time;
     std::vector<std::int64_t> magnetization;  // serial samples
     RunResult run;
     if (sharded) {

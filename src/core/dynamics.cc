@@ -1,6 +1,7 @@
 #include "core/dynamics.h"
 
 #include <cassert>
+#include <limits>
 #include <vector>
 
 namespace seg {
@@ -20,11 +21,14 @@ void final_snapshot(const RunOptions& options, const SchellingModel& model,
   if (options.on_snapshot) options.on_snapshot(model, flips, time);
 }
 
-}  // namespace
-
-RunResult run_glauber(SchellingModel& model, Rng& rng,
-                      const RunOptions& options) {
+// One Glauber run, with (kTimed) or without the continuous-time clock.
+template <bool kTimed>
+RunResult glauber_loop(SchellingModel& model, Rng& rng,
+                       const RunOptions& options) {
   RunResult result;
+  if constexpr (!kTimed) {
+    result.final_time = std::numeric_limits<double>::quiet_NaN();
+  }
   while (!model.terminated()) {
     if (result.flips >= options.max_flips) break;
     // Each of the |flippable| agents rings at rate 1 and an effective ring
@@ -32,14 +36,20 @@ RunResult run_glauber(SchellingModel& model, Rng& rng,
     // not change the state. The time to the next effective flip is
     // therefore Exp(|flippable|) and the flipping agent is uniform over
     // the flippable set.
-    const double dt =
-        rng.exponential(static_cast<double>(model.flippable_set().size()));
-    if (result.final_time + dt > options.max_time) {
-      result.final_time = options.max_time;
-      final_snapshot(options, model, result.flips, result.final_time);
-      return result;
+    if constexpr (kTimed) {
+      const double dt =
+          rng.exponential(static_cast<double>(model.flippable_set().size()));
+      if (result.final_time + dt > options.max_time) {
+        result.final_time = options.max_time;
+        final_snapshot(options, model, result.flips, result.final_time);
+        return result;
+      }
+      result.final_time += dt;
+    } else {
+      // exponential() consumes exactly one word; drawing it keeps the
+      // stream, and so the sampled flip sequence, the timed run's.
+      rng.next_u64();
     }
-    result.final_time += dt;
     const std::uint32_t id = model.flippable_set().sample(rng);
     model.flip(id);
     ++result.flips;
@@ -48,6 +58,16 @@ RunResult run_glauber(SchellingModel& model, Rng& rng,
   result.terminated = model.terminated();
   final_snapshot(options, model, result.flips, result.final_time);
   return result;
+}
+
+}  // namespace
+
+RunResult run_glauber(SchellingModel& model, Rng& rng,
+                      const RunOptions& options) {
+  const bool timed = options.track_time ||
+                     options.max_time < std::numeric_limits<double>::infinity();
+  return timed ? glauber_loop<true>(model, rng, options)
+               : glauber_loop<false>(model, rng, options);
 }
 
 RunResult run_discrete(SchellingModel& model, Rng& rng,

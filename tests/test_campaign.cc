@@ -1,7 +1,9 @@
 #include "campaign/campaign.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -14,6 +16,7 @@
 #include "campaign/checkpoint.h"
 #include "campaign/metrics.h"
 #include "campaign/sinks.h"
+#include "graph/topology.h"
 
 namespace seg {
 namespace {
@@ -248,6 +251,88 @@ TEST(Metrics, RegistryLookup) {
   EXPECT_NE(fn, nullptr);
   EXPECT_FALSE(lookup_metric("bogus", nullptr));
   EXPECT_FALSE(known_metrics().empty());
+}
+
+// The time column is the only reader of the Glauber clock: it must equal
+// a directly timed run on the replica's dynamics stream, and asking for it
+// must not move any other column.
+TEST(Metrics, TimeColumnMatchesATimedRunAndMovesNoOtherColumn) {
+  ScenarioSpec timed;
+  timed.name = "test_time";
+  timed.n = {32};
+  timed.w = {1, 2};
+  timed.tau = {0.40, 0.48};
+  timed.p = {0.5, 0.7};
+  timed.replicas = 3;
+  timed.metrics = {"time", "flips", "majority"};
+  ScenarioSpec untimed = timed;
+  untimed.metrics = {"flips", "majority"};
+  const ReplicaFn with_time = make_schelling_replica(timed);
+  const ReplicaFn without_time = make_schelling_replica(untimed);
+  std::size_t replica = 0;
+  for (const ScenarioPoint& point : expand_grid(timed)) {
+    for (std::size_t r = 0; r < timed.replicas; ++r, ++replica) {
+      const std::uint64_t seed = derive_replica_seed(41, replica);
+      const std::vector<double> a = with_time(point, r, seed);
+      const std::vector<double> b = without_time(point, r, seed);
+      ASSERT_EQ(a.size(), 3u);
+      ASSERT_EQ(b.size(), 2u);
+      Rng init = Rng::stream(seed, 0);
+      SchellingModel model(point.params, init);
+      Rng dyn = Rng::stream(seed, 1);
+      const RunResult direct = run_glauber(model, dyn);
+      EXPECT_TRUE(std::isfinite(a[0]));
+      EXPECT_EQ(std::memcmp(&a[0], &direct.final_time, sizeof(double)), 0);
+      EXPECT_EQ(a[1], static_cast<double>(direct.flips));
+      EXPECT_EQ(std::memcmp(&a[1], b.data(), 2 * sizeof(double)), 0);
+    }
+  }
+}
+
+// fixation and majority read the +1 popcount; they must equal the
+// snapshot-based completely_segregated and majority_fraction bitwise.
+TEST(Metrics, FixationAndMajorityMatchTheSnapshotPath) {
+  MetricFn fixation = nullptr;
+  MetricFn majority = nullptr;
+  ASSERT_TRUE(lookup_metric("fixation", &fixation));
+  ASSERT_TRUE(lookup_metric("majority", &majority));
+  const ScenarioSpec spec;
+  const RunResult run;
+  const auto check = [&](const SchellingModel& model) {
+    const std::vector<std::int8_t> spins = model.spins();
+    Rng sample(1);
+    MetricContext ctx(model, run, spec, sample, std::nan(""));
+    const double want_fix = completely_segregated(spins) ? 1.0 : 0.0;
+    const double want_major = majority_fraction(spins);
+    const double got_fix = fixation(ctx);
+    const double got_major = majority(ctx);
+    EXPECT_EQ(std::memcmp(&got_fix, &want_fix, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&got_major, &want_major, sizeof(double)), 0);
+  };
+  // Random, uniform of either sign, and one defect in a uniform field.
+  const auto fields = [](std::size_t sites) {
+    std::vector<std::vector<std::int8_t>> out;
+    Rng rng(77);
+    for (const double p : {0.5, 0.7, 0.2}) {
+      std::vector<std::int8_t> f(sites);
+      for (auto& s : f) s = rng.bernoulli(p) ? 1 : -1;
+      out.push_back(f);
+    }
+    for (const std::int8_t sign : {1, -1}) {
+      std::vector<std::int8_t> f(sites, sign);
+      out.push_back(f);
+      f[sites / 3] = static_cast<std::int8_t>(-sign);
+      out.push_back(f);
+    }
+    return out;
+  };
+  const ModelParams torus{.n = 20, .w = 1, .tau = 0.45, .p = 0.5};
+  for (const auto& f : fields(20 * 20)) check(SchellingModel(torus, f));
+  const auto graph = std::make_shared<const GraphTopology>(
+      GraphTopology::random_regular(300, 6, /*seed=*/11));
+  for (const auto& f : fields(graph->node_count())) {
+    check(SchellingModel(torus, graph, f));
+  }
 }
 
 TEST(Campaign, ReplicaSeedsAreDistinct) {

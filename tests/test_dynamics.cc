@@ -1,8 +1,13 @@
 #include "core/dynamics.h"
 
+#include <cmath>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "graph/topology.h"
 
 namespace seg {
 namespace {
@@ -123,6 +128,129 @@ TEST(Glauber, SnapshotCallbackSeesFinalState) {
   };
   const RunResult r = run_glauber(m, rng, opt);
   EXPECT_EQ(last_flips, r.flips);  // final snapshot always fires
+}
+
+// What a Glauber run leaves behind apart from its clock: the untimed loop
+// must reproduce every field of this bitwise.
+struct GlauberTrace {
+  RunResult result;
+  std::vector<std::int8_t> spins;
+  std::int64_t lyapunov = 0;
+  std::vector<std::uint32_t> flipped;        // FlipObserver order
+  std::vector<std::uint64_t> snapshot_flips;  // on_snapshot's flip counts
+  std::vector<std::int64_t> snapshot_magnetization;
+  std::vector<double> snapshot_times;
+  std::uint64_t next_word = 0;  // the dynamics Rng's next draw after the run
+};
+
+class FlipRecorder : public FlipObserver {
+ public:
+  explicit FlipRecorder(std::vector<std::uint32_t>* ids) : ids_(ids) {}
+  void on_flip(std::uint32_t id, std::int8_t) override { ids_->push_back(id); }
+
+ private:
+  std::vector<std::uint32_t>* ids_;
+};
+
+GlauberTrace traced_glauber(const std::function<SchellingModel()>& make,
+                            bool track_time, std::uint64_t max_flips) {
+  GlauberTrace trace;
+  SchellingModel model = make();
+  FlipRecorder recorder(&trace.flipped);
+  model.set_flip_observer(&recorder);
+  RunOptions opt;
+  opt.track_time = track_time;
+  opt.max_flips = max_flips;
+  opt.snapshot_every = 1;
+  opt.on_snapshot = [&trace](const SchellingModel& m, std::uint64_t flips,
+                             double time) {
+    trace.snapshot_flips.push_back(flips);
+    trace.snapshot_magnetization.push_back(m.magnetization());
+    trace.snapshot_times.push_back(time);
+  };
+  Rng dyn(0xD1CE);
+  trace.result = run_glauber(model, dyn, opt);
+  model.set_flip_observer(nullptr);
+  trace.spins = model.spins();
+  trace.lyapunov = model.lyapunov();
+  trace.next_word = dyn.next_u64();
+  return trace;
+}
+
+// Returns the untimed run's result.
+RunResult expect_untimed_matches_timed(
+    const std::function<SchellingModel()>& make, std::uint64_t max_flips) {
+  const GlauberTrace timed = traced_glauber(make, true, max_flips);
+  const GlauberTrace untimed = traced_glauber(make, false, max_flips);
+  EXPECT_GT(timed.result.flips, 0u);
+  EXPECT_EQ(untimed.result.flips, timed.result.flips);
+  EXPECT_EQ(untimed.result.terminated, timed.result.terminated);
+  EXPECT_EQ(untimed.spins, timed.spins);
+  EXPECT_EQ(untimed.lyapunov, timed.lyapunov);
+  EXPECT_EQ(untimed.flipped, timed.flipped);
+  EXPECT_EQ(untimed.snapshot_flips, timed.snapshot_flips);
+  EXPECT_EQ(untimed.snapshot_magnetization, timed.snapshot_magnetization);
+  EXPECT_EQ(untimed.next_word, timed.next_word);  // same stream position
+  EXPECT_TRUE(std::isfinite(timed.result.final_time));
+  EXPECT_GT(timed.result.final_time, 0.0);
+  EXPECT_TRUE(std::isnan(untimed.result.final_time));
+  for (const double t : untimed.snapshot_times) EXPECT_TRUE(std::isnan(t));
+  return untimed.result;
+}
+
+TEST(Glauber, UntimedRunMatchesTimedOnTheTorus) {
+  for (const int w : {1, 2, 4}) {
+    SCOPED_TRACE(w);
+    expect_untimed_matches_timed(
+        [w] { return make_random_model(40, w, 0.45, 100 + w); },
+        RunOptions().max_flips);
+  }
+}
+
+TEST(Glauber, UntimedRunMatchesTimedOnVonNeumann) {
+  const ModelParams p{.n = 32, .w = 3, .tau = 0.45, .p = 0.5,
+                      .shape = NeighborhoodShape::kVonNeumann};
+  expect_untimed_matches_timed(
+      [&p] {
+        Rng init(21);
+        return SchellingModel(p, init);
+      },
+      RunOptions().max_flips);
+}
+
+TEST(Glauber, UntimedRunMatchesTimedOnGraphs) {
+  const ModelParams p{.tau = 0.4, .p = 0.5};
+  const auto graphs = {
+      std::make_shared<const GraphTopology>(GraphTopology::lollipop(32, 96)),
+      std::make_shared<const GraphTopology>(
+          GraphTopology::random_regular(512, 8, /*seed=*/7)),
+  };
+  for (const auto& graph : graphs) {
+    expect_untimed_matches_timed(
+        [&p, &graph] {
+          Rng init(22);
+          return SchellingModel(p, graph, init);
+        },
+        RunOptions().max_flips);
+  }
+}
+
+TEST(Glauber, UntimedRunMatchesTimedUnderAFlipCap) {
+  const RunResult capped = expect_untimed_matches_timed(
+      [] { return make_random_model(40, 2, 0.45, 23); }, 50);
+  EXPECT_EQ(capped.flips, 50u);
+  EXPECT_FALSE(capped.terminated);
+}
+
+TEST(Glauber, FiniteMaxTimeRunsTheClockWhenUntracked) {
+  auto m = make_random_model(32, 3, 0.45, 13);
+  Rng rng(14);
+  RunOptions opt;
+  opt.track_time = false;
+  opt.max_time = 1e-9;
+  const RunResult r = run_glauber(m, rng, opt);
+  EXPECT_FALSE(r.terminated);
+  EXPECT_DOUBLE_EQ(r.final_time, 1e-9);
 }
 
 TEST(Discrete, ReachesSameClassOfAbsorbingStates) {
