@@ -1,8 +1,8 @@
 // PERF — engineering microbenchmarks for the hot paths: model
 // construction (separable box sums), single flips (O(N) incremental
-// updates), full Glauber runs, the distance transform and cover pass
-// behind the region metrics, the almost-mono field, and prefix-sum
-// construction.
+// updates), full Glauber runs, the distance transform and sampled
+// region queries behind the region metrics, the almost-mono field, and
+// prefix-sum construction.
 #include <benchmark/benchmark.h>
 
 #include <arpa/inet.h>
@@ -444,10 +444,12 @@ void BM_DistanceTransform(benchmark::State& state) {
 }
 BENCHMARK(BM_DistanceTransform)->Arg(256)->Arg(512);
 
-// What a phase_diagram replica pays for E[M]: the radius and cover fields
-// plus 16 samples. Second arg picks the field: 0 = random p = 0.5, 1 =
-// Glauber-evolved (w = 2, tau = 0.45) segregated, 2 = fully monochromatic,
-// the plateau the cover pass must short-circuit.
+// What a phase_diagram replica pays for E[M]: the radius field plus 16
+// sampled queries. Second arg picks the field: 0 = random p = 0.5, 1 =
+// Glauber-evolved (w = 2, tau = 0.45) segregated, 2 = fully monochromatic
+// (every query returns at once), 3 = one minority site, the query's worst
+// case: top sits at the (n-1)/2 cap while most samples sit below it and
+// scan far before they meet a ball of radius top.
 void BM_MeanMonoRegion(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int field_kind = static_cast<int>(state.range(1));
@@ -459,10 +461,13 @@ void BM_MeanMonoRegion(benchmark::State& state) {
     seg::SchellingModel model({.n = n, .w = 2, .tau = 0.45, .p = 0.5}, rng);
     seg::run_glauber(model, rng);
     spins = model.spins();
+  } else if (field_kind == 3) {
+    spins[static_cast<std::size_t>(n / 2) * n + n / 3] = -1;
   }
   state.SetLabel(field_kind == 0   ? "random"
                  : field_kind == 1 ? "segregated"
-                                   : "uniform");
+                 : field_kind == 2 ? "uniform"
+                                   : "single minority");
   for (auto _ : state) {
     const seg::MonoRegionField field = seg::mono_region_field(spins, n);
     seg::Rng sample(9);
@@ -470,13 +475,18 @@ void BM_MeanMonoRegion(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n * n);
 }
-BENCHMARK(BM_MeanMonoRegion)->Args({256, 0})->Args({256, 1})->Args({256, 2});
+BENCHMARK(BM_MeanMonoRegion)
+    ->Args({256, 0})
+    ->Args({256, 1})
+    ->Args({256, 2})
+    ->Args({256, 3});
 
 // The M' field of region_size replicas: a Glauber-evolved state at the
 // builtin's side n = max(64, 24w), tau = 0.45, p = 0.5, thresholded at
 // eps = 0.1 and fed the mono field that M has already built, as the
-// campaign's metric context does. w = 1..5 takes the largest allowed
-// minority from about 0.29 of a ball down to none.
+// campaign's metric context does, then E[M'] over the builtin's 24
+// samples. w = 1..5 takes the largest allowed minority from about 0.29 of
+// a ball down to none.
 void BM_AlmostMonoField(benchmark::State& state) {
   const int w = static_cast<int>(state.range(0));
   const int n = std::max(64, 24 * w);
@@ -488,7 +498,10 @@ void BM_AlmostMonoField(benchmark::State& state) {
   const double threshold =
       seg::almost_mono_threshold(0.1, model.neighborhood_size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(seg::almost_mono_field(spins, mono, threshold));
+    const seg::AlmostMonoField field =
+        seg::almost_mono_field(spins, mono, threshold);
+    seg::Rng sample(9);
+    benchmark::DoNotOptimize(seg::mean_almost_region_size(field, 24, sample));
   }
   state.SetItemsProcessed(state.iterations() * n * n);
 }

@@ -5,7 +5,7 @@
 # giant-lattice scaling curve: serial engine vs 1/2/4/8 stripe shards at
 # n in {1024, 2048, 4096}, the BM_AdaptiveCampaign fixed-vs-adaptive
 # scheduling pair, and the BM_MeanMonoRegion region-measurement cost on
-# three field shapes) in Google Benchmark's JSON format, annotated with
+# four field shapes) in Google Benchmark's JSON format, annotated with
 # the seed-implementation baselines, the sharded-vs-serial speedups, the
 # speedup over the last recorded byte-storage engine, the torus-as-graph
 # overhead, and the adaptive-campaign replica savings so the perf
@@ -164,14 +164,16 @@ if 0 in campaign and 1 in campaign and campaign[0] > 0:
                   "(tests/test_campaign_adaptive.cc pins the same grid)",
     }
 # Region measurement: what one phase_diagram replica pays for E[M] (radius
-# field, cover field, 16 samples) at n = 256 on a random, a segregated and
-# a fully monochromatic field. The monochromatic row guards the plateau
-# case: without its short-circuit the cover pass paints a whole ball from
-# every center.
+# field, its tile index, 16 sampled queries) at n = 256 on a random, a
+# segregated, a fully monochromatic and a single-minority field. In the
+# monochromatic row every query returns at once (radius(u) is the top);
+# the single-minority row is the query's worst case, with the top at the
+# (n-1)/2 cap while most samples sit below it.
 if region:
     context["region_measurement"] = {
         "metric": "BM_MeanMonoRegion/256/<field>: mono_region_field + "
-                  "mean_mono_region_size over 16 samples, ns per call",
+                  "mean_mono_region_size over 16 sampled queries, ns per "
+                  "call",
         "ns_by_field": region,
     }
 context["sharded_scaling"] = {

@@ -127,6 +127,7 @@ AlmostMonoField make_field(int n, double ratio_threshold,
   field.n = n;
   field.ratio_threshold = ratio_threshold;
   field.radius = std::move(radius);
+  index_region_field(field);
   return field;
 }
 
@@ -140,24 +141,17 @@ double almost_mono_threshold(double eps, int neighborhood_size) {
 AlmostMonoField almost_mono_field(const std::vector<std::int8_t>& spins,
                                   int n, double ratio_threshold,
                                   int max_radius) {
-  AlmostMonoField field = make_field(
-      n, ratio_threshold,
-      almost_radius(spins, n, ratio_threshold, max_radius,
-                    mono_ball_radius(spins, n)));
-  field.cover = covering_radius(field.radius, n);
-  return field;
+  return make_field(n, ratio_threshold,
+                    almost_radius(spins, n, ratio_threshold, max_radius,
+                                  mono_ball_radius(spins, n)));
 }
 
 AlmostMonoField almost_mono_field(const std::vector<std::int8_t>& spins,
                                   const MonoRegionField& mono,
                                   double ratio_threshold, int max_radius) {
-  AlmostMonoField field = make_field(
+  return make_field(
       mono.n, ratio_threshold,
       almost_radius(spins, mono.n, ratio_threshold, max_radius, mono.radius));
-  field.cover = field.radius == mono.radius
-                    ? mono.cover
-                    : covering_radius(field.radius, mono.n);
-  return field;
 }
 
 AlmostMonoField almost_mono_field(const SchellingModel& model, double eps,

@@ -15,12 +15,13 @@ class SchellingModel;
 
 // radius: per-center radius of the largest almost-monochromatic ball
 // centered there (the radius-0 ball always passes: a single agent has
-// minority ratio 0); cover: its covering-radius field.
+// minority ratio 0); M'(u) is read from it by the query of regions.h.
 struct AlmostMonoField : RegionField {
   double ratio_threshold = 0.0;
 };
 
-// Computes the per-center almost-monochromatic radii and their cover.
+// Computes the per-center almost-monochromatic radii, indexed for the
+// region query.
 // max_radius (R) bounds the search; it defaults to the largest proper
 // ball, (n-1)/2, when <= 0. The cost is output-sensitive rather than
 // O(n^2 * R): an O((n + 2R)^2) summed-area table, then O(1) box sums for
@@ -34,8 +35,7 @@ AlmostMonoField almost_mono_field(const std::vector<std::int8_t>& spins,
                                   int max_radius = 0);
 
 // The same field, with the monochromatic radii read from `mono` (the mono
-// field of the same spins) instead of recomputed; `mono.cover` is reused
-// whenever the radius fields coincide.
+// field of the same spins) instead of recomputed.
 AlmostMonoField almost_mono_field(const std::vector<std::int8_t>& spins,
                                   const MonoRegionField& mono,
                                   double ratio_threshold, int max_radius = 0);

@@ -3,13 +3,15 @@
 //
 // The monochromatic region of an agent u is the largest-radius
 // l-infinity ball (neighborhood) of single-type agents that contains u;
-// M is its size (agent count). We compute, per final configuration:
-//   * radius(c) for every center c (one distance transform, O(n^2));
-//   * cover(u) for every agent u: the largest radius(c) over the centers
-//     c whose ball contains u, so M(u) = ball_size(cover(u)) is a lookup;
-//   * the grid-wide largest monochromatic ball.
-// The almost-monochromatic measurement (analysis/almost.h) shares the
-// cover field, sampling and maximum; only its radius field differs.
+// M is its size (agent count). Per final configuration we compute
+// radius(c) for every center c (one distance transform, O(n^2)) and the
+// largest radius of the field and of each 8 x 8 tile of centers (one more
+// O(n^2) pass). M(u) = ball_size(cover(u)), where cover(u) is the largest
+// radius(c) over the centers c whose ball contains u, is then read only
+// at the sampled agents, by a scan of the few tiles that can raise it;
+// the grid-wide largest monochromatic ball is ball_size(top). The
+// almost-monochromatic measurement (analysis/almost.h) shares the query,
+// sampling and maximum; only its radius field differs.
 #pragma once
 
 #include <cstdint>
@@ -22,25 +24,30 @@ namespace seg {
 
 class SchellingModel;
 
-// A per-center radius field and the covering-radius field derived from it.
-struct RegionField {
-  int n = 0;
-  // Per-center radius of the largest qualifying ball centered there.
-  std::vector<std::int32_t> radius;
-  // Per-site covering radius: max radius[c] over the centers c whose ball
-  // contains the site (0 where no ball of radius >= 1 does).
-  std::vector<std::int32_t> cover;
+// An 8 x 8 block of centers (cut short at the last tile row and column)
+// and its largest radius.
+struct RegionTile {
+  std::int32_t top;
+  std::int32_t x, y;  // tile column and row
 };
 
-struct MonoRegionField : RegionField {};
+// A per-center radius field on the n x n torus, with its largest radius
+// overall and per tile. Whoever fills radius calls index_region_field.
+struct RegionField {
+  int n = 0;
+  // Per-center radius, in [0, 2^15), of the largest qualifying ball
+  // centered there.
+  std::vector<std::int32_t> radius;
+  // The largest entry of radius.
+  std::int32_t top = 0;
+  // Every tile, by descending top.
+  std::vector<RegionTile> tiles;
+};
 
-// The covering-radius field of `radius` on the n x n torus, exact for any
-// radius field. Centers with an 8-neighbor of larger radius are skipped
-// (that neighbor's ball contains theirs); the rest paint their balls in
-// descending radius, each site once, through per-row next-unpainted
-// pointers. A uniform field is its own cover.
-std::vector<std::int32_t> covering_radius(
-    const std::vector<std::int32_t>& radius, int n);
+// Sets top and tiles from field.n and field.radius.
+void index_region_field(RegionField& field);
+
+struct MonoRegionField : RegionField {};
 
 // Size (agent count) of a ball of radius r.
 inline std::int64_t ball_size(std::int32_t r) {
@@ -48,8 +55,11 @@ inline std::int64_t ball_size(std::int32_t r) {
   return side * side;
 }
 
-// Size of the largest qualifying ball containing the agent at u: one
-// lookup in the cover field.
+// Size of the largest qualifying ball containing the agent at u, exact
+// for any radius field: ball_size of the largest radius(c) over the
+// centers c with torus-L-inf(u, c) <= radius(c). Returns at once when
+// radius(u) == top; otherwise scans, by descending top, the tiles whose
+// top reaches u and exceeds the best radius found so far.
 std::int64_t region_size_of(const RegionField& field, Point u);
 
 // Mean region size over `samples` agents drawn uniformly, one
@@ -60,7 +70,7 @@ double mean_region_size(const RegionField& field, std::size_t samples,
 // Largest qualifying ball size anywhere on the grid.
 std::int64_t largest_region(const RegionField& field);
 
-// One distance transform over the spin field, plus its cover field.
+// One distance transform over the spin field, indexed for the query.
 MonoRegionField mono_region_field(const std::vector<std::int8_t>& spins,
                                   int n);
 

@@ -1,9 +1,9 @@
 // Differential pins for the region measurement: the one-transform radius
 // field against the two-BFS transform it replaced, the almost-mono radius
-// field against direct counting, and the cover field, the per-agent sizes
-// M(u) / M'(u) and the sampled means against the O(n^2)-per-agent scan
-// over centers, on random, dynamics-evolved and hand-built fields at odd
-// and even n.
+// field against direct counting, and the per-agent sizes M(u) / M'(u),
+// the sampled means and the grid-wide maxima against the
+// O(n^2)-per-agent scan over centers, on random, dynamics-evolved and
+// hand-built fields at odd and even n.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -107,8 +107,8 @@ std::int32_t brute_almost_radius(const Spins& spins, int n, int cx, int cy,
   return best;
 }
 
-// Size of the largest ball containing u: the scan over every center that
-// the cover field replaced.
+// Size of the largest ball containing u: the scan over every center, with
+// none of the query's tile pruning.
 std::int64_t scan_size(const Field& radius, int n, Point u) {
   std::int64_t best = 1;
   for (int cy = 0; cy < n; ++cy) {
@@ -195,13 +195,12 @@ std::vector<Case> cases() {
   return out;
 }
 
-// Every site's cover against the scan, and the sampled mean bitwise
+// Every site's size against the scan, and the sampled mean bitwise
 // against the scan mean drawn from the same seed, leaving the stream in
 // the same state.
 void expect_cover_matches_scan(const RegionField& field,
                                const std::string& name) {
   const int n = field.n;
-  ASSERT_EQ(field.cover.size(), static_cast<std::size_t>(n) * n) << name;
   for (int y = 0; y < n; ++y) {
     for (int x = 0; x < n; ++x) {
       ASSERT_EQ(region_size_of(field, {x, y}), scan_size(field.radius, n, {x, y}))
@@ -302,7 +301,7 @@ std::vector<double> paper_thresholds() {
 }
 
 // Every center's radius against direct counting, and the mono-fed field's
-// radius and cover against the standalone field's.
+// radius, top and per-site sizes against the standalone field's.
 void expect_almost_matches(const Spins& spins, int n, double threshold,
                            int max_radius, const std::string& name) {
   const AlmostMonoField field =
@@ -321,8 +320,15 @@ void expect_almost_matches(const Spins& spins, int n, double threshold,
   EXPECT_EQ(fed.ratio_threshold, field.ratio_threshold) << name;
   EXPECT_EQ(fed.radius, field.radius)
       << name << " threshold=" << threshold << " max_radius=" << max_radius;
-  EXPECT_EQ(fed.cover, field.cover)
-      << name << " threshold=" << threshold << " max_radius=" << max_radius;
+  EXPECT_EQ(fed.top, field.top) << name;
+  for (int y = 0; y < n; ++y) {
+    for (int x = 0; x < n; ++x) {
+      ASSERT_EQ(almost_region_size_of(fed, {x, y}),
+                almost_region_size_of(field, {x, y}))
+          << name << " threshold=" << threshold
+          << " max_radius=" << max_radius << " at (" << x << "," << y << ")";
+    }
+  }
 }
 
 TEST(RegionDifferential, AlmostRadiusMatchesDirectCount) {
@@ -386,10 +392,11 @@ TEST(RegionDifferential, AlmostCoverMatchesScanEverywhere) {
 }
 
 TEST(RegionDifferential, CoverExactForArbitraryRadiusFields) {
-  // The pruning argument holds for any radius field, not only distance
-  // transforms: random radii, near-uniform plateaus, and radii past the
-  // (n-1)/2 cap (whose balls wrap the whole torus).
-  for (const int n : {3, 4, 7, 8, 15, 24}) {
+  // The tile-pruned query is exact for any radius field, not only
+  // distance transforms: random radii, near-uniform plateaus, and radii
+  // past the (n-1)/2 cap (whose balls wrap the whole torus), on one tile
+  // and on several with a cut-short last tile.
+  for (const int n : {3, 4, 7, 8, 15, 24, 33}) {
     Rng rng(static_cast<std::uint64_t>(n));
     const std::int32_t cap = (n - 1) / 2;
     for (int trial = 0; trial < 6; ++trial) {
@@ -409,7 +416,7 @@ TEST(RegionDifferential, CoverExactForArbitraryRadiusFields) {
             break;
         }
       }
-      field.cover = covering_radius(field.radius, n);
+      index_region_field(field);
       expect_cover_matches_scan(field, "n=" + std::to_string(n) +
                                            " trial=" + std::to_string(trial));
     }
@@ -418,8 +425,45 @@ TEST(RegionDifferential, CoverExactForArbitraryRadiusFields) {
 
 TEST(RegionDifferential, UniformFieldIsItsOwnCover) {
   for (const int n : {3, 4, 64}) {
-    const Field radius(static_cast<std::size_t>(n) * n, (n - 1) / 2);
-    EXPECT_EQ(covering_radius(radius, n), radius) << "n=" << n;
+    RegionField field;
+    field.n = n;
+    field.radius.assign(static_cast<std::size_t>(n) * n, (n - 1) / 2);
+    index_region_field(field);
+    for (int y = 0; y < n; ++y) {
+      for (int x = 0; x < n; ++x) {
+        ASSERT_EQ(region_size_of(field, {x, y}), ball_size((n - 1) / 2))
+            << "n=" << n << " at (" << x << "," << y << ")";
+      }
+    }
+  }
+}
+
+// The grid-wide largest balls against ball_size of the largest radius
+// found by direct enumeration, on every case: a stale top shows here.
+TEST(RegionDifferential, LargestRegionMatchesBruteMaximum) {
+  for (const Case& c : cases()) {
+    const int n = c.n;
+    const MonoRegionField mono = mono_region_field(c.spins, n);
+    std::int32_t mono_top = 0;
+    for (int y = 0; y < n; ++y) {
+      for (int x = 0; x < n; ++x) {
+        mono_top = std::max(mono_top, brute_mono_radius(c.spins, n, x, y));
+      }
+    }
+    EXPECT_EQ(largest_mono_region(mono), ball_size(mono_top)) << c.name;
+    for (const double threshold : {0.05, 0.3}) {
+      std::int32_t almost_top = 0;
+      for (int y = 0; y < n; ++y) {
+        for (int x = 0; x < n; ++x) {
+          almost_top = std::max(
+              almost_top, brute_almost_radius(c.spins, n, x, y, threshold));
+        }
+      }
+      EXPECT_EQ(largest_almost_region(almost_mono_field(c.spins, mono,
+                                                        threshold)),
+                ball_size(almost_top))
+          << c.name << " threshold=" << threshold;
+    }
   }
 }
 
