@@ -5,19 +5,17 @@
 // sharded parallel engine). Prints the happiness/segregation time series
 // at the four panel epochs and writes the panels as PPM images.
 //
-// The cluster and interface panel columns are served by the streaming
-// observables engine (analysis/streaming.h), which tracks them from flip
-// events — serially as an engine observer, sharded via the per-shard
-// event logs — so per-panel measurement is O(1) instead of an O(n^2)
-// rescan (only the mono-ball column still runs a distance transform).
+// Each panel row measures the state it prints with one cluster rescan
+// (analysis/clusters.h) and one mono-region field: four rescans per run,
+// cheaper than tracking clusters on every flip.
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <sys/stat.h>
 #include <vector>
 
+#include "analysis/clusters.h"
 #include "analysis/regions.h"
-#include "analysis/streaming.h"
 #include "core/dynamics.h"
 #include "core/model.h"
 #include "core/parallel_dynamics.h"
@@ -76,11 +74,6 @@ int main(int argc, char** argv) {
                                                           shards))
           : seg::SchellingModel(params, init);
   seg::Rng dyn = seg::Rng::stream(seed, 1);
-  // Streaming measurement: serial runs feed it inline through the engine
-  // observer; sharded runs replay the per-shard flip logs at each
-  // reconciliation barrier.
-  seg::StreamingObservables streaming(model.spins(), params.n);
-  if (shards <= 1) model.set_flip_observer(&streaming);
   // Serial epochs share `dyn`; sharded epochs re-derive fresh per-shard
   // substreams from (dynamics stream seed, epoch) so no epoch replays
   // another's draws.
@@ -89,7 +82,6 @@ int main(int argc, char** argv) {
     if (shards > 1) {
       seg::ParallelOptions opt;
       if (max_flips > 0) opt.max_flips = max_flips;
-      opt.streaming = &streaming;
       return seg::to_run_result(seg::run_parallel_glauber(
           model, seg::mix_seed(seg::mix_seed(seed, 1), epoch++), opt));
     }
@@ -103,6 +95,7 @@ int main(int argc, char** argv) {
                            "largest_mono_ball"});
   const auto record = [&](const char* panel, std::uint64_t flips,
                           double time) {
+    const seg::ClusterStats clusters = seg::cluster_stats(model);
     const auto field = seg::mono_region_field(model);
     table.new_row()
         .add(panel)
@@ -110,9 +103,9 @@ int main(int argc, char** argv) {
         .add(time, 2)
         .add(100.0 * model.happy_fraction(), 2)
         .add(static_cast<std::int64_t>(model.count_unhappy()))
-        .add(streaming.largest_cluster())
-        .add(static_cast<std::int64_t>(streaming.cluster_count()))
-        .add(streaming.interface_length())
+        .add(clusters.largest_cluster)
+        .add(static_cast<std::int64_t>(clusters.cluster_count))
+        .add(clusters.interface_length)
         .add(seg::largest_mono_region(field));
   };
 

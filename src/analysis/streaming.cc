@@ -403,11 +403,9 @@ std::vector<double> StreamingObservables::pair_correlation() const {
 }
 
 void StreamingObservables::record_sample() {
-  // Live-observable gauges for the progress reporter: published at the
-  // sampling cadence (per sweep-ish), never from the per-flip path.
+  // Live gauge for the progress reporter: published at the sampling
+  // cadence, never from the per-flip path.
   SEG_GAUGE_SET("streaming.magnetization", spin_sum_);
-  SEG_GAUGE_SET("streaming.clusters", cluster_count_);
-  SEG_GAUGE_SET("streaming.interface", interface_);
   if (ring_.empty()) return;
   const std::size_t w = ring_.size();
   const std::int64_t m = spin_sum_;

@@ -11,12 +11,15 @@
 //
 //  * inline, as a FlipObserver attached to a serially-driven
 //    BinarySpinEngine (SchellingModel::set_flip_observer), or
-//  * replayed, from the per-shard flip logs the parallel sweep engine
-//    collects in phase A and drains serially at every reconciliation
-//    barrier (ParallelOptions::streaming), or
 //  * directly, via apply_set()/apply_flip() for models that are not
 //    engine-backed (vacancy sites use value 0, multi-type models use
 //    values 0..q-1 — any int8 alphabet works).
+//
+// No program path runs the engine: campaign replicas and fig1_dynamics
+// read the same values from one rescan of the state they report, and
+// the sharded sweep engine samples the magnetization itself
+// (ParallelOptions::sample_every). Its callers are the tests, the
+// perf_core BM_StreamingObservables rows and perfbench's replica mirror.
 //
 // Exactness contract (pinned by tests/test_streaming_differential.cc):
 // after any event sequence, every observable equals the batch recompute

@@ -8,9 +8,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <utility>
 
 #include "analysis/correlation.h"
-#include "analysis/streaming.h"
 #include "core/parallel_dynamics.h"
 #include "graph/partition.h"
 #include "graph/topology.h"
@@ -365,18 +365,9 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
         make_model(point.params, shared, static_cast<int>(shards), init);
     // The streaming_* metrics read the final state, except the
     // magnetization autocorrelation, which reads samples taken every
-    // `sample_every` flips. A sharded run takes those mid-sweep on its
-    // replayed flip stream, so it alone attaches a StreamingObservables
-    // engine, and only for that metric (the engine consumes no RNG: the
-    // trajectory is bitwise the one an unmeasured run produces).
-    // Streaming metrics are lattice-only (valid() refuses them on graphs).
-    std::unique_ptr<StreamingObservables> replay;
-    if (sharded && needs_autocorr && !shared) {
-      StreamingConfig streaming_config;
-      streaming_config.autocorr_window = 64;
-      replay = std::make_unique<StreamingObservables>(
-          model.spins(), point.params.n, streaming_config);
-    }
+    // `sample_every` flips (serial runs through on_snapshot, sharded runs
+    // on the sweep engine's folded flip stream). Sampling consumes no
+    // RNG: the trajectory is bitwise the one an unmeasured run produces.
     const std::uint64_t sample_every =
         spec.streaming_sample_every > 0
             ? spec.streaming_sample_every
@@ -386,7 +377,7 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
     RunOptions run_options;
     if (spec.max_flips > 0) run_options.max_flips = spec.max_flips;
     run_options.track_time = needs_time;
-    std::vector<std::int64_t> magnetization;  // serial samples
+    std::vector<std::int64_t> magnetization;
     RunResult run;
     if (sharded) {
       SEG_SPAN("replica_dynamics");
@@ -404,10 +395,14 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
       // give the sweep engine the whole machine.
       parallel_options.threads = 1;
       parallel_options.max_flips = run_options.max_flips;
-      parallel_options.streaming = replay.get();
-      parallel_options.streaming_sample_every = sample_every;
-      run = to_run_result(run_parallel_glauber(
-          model, mix_seed(replica_seed, 1), parallel_options));
+      if (needs_autocorr) parallel_options.sample_every = sample_every;
+      ParallelRunResult parallel = run_parallel_glauber(
+          model, mix_seed(replica_seed, 1), parallel_options);
+      magnetization = std::move(parallel.magnetization);
+      if (!magnetization.empty()) {
+        SEG_GAUGE_SET("streaming.magnetization", magnetization.back());
+      }
+      run = to_run_result(parallel);
     } else {
       SEG_SPAN("replica_dynamics");
       if (needs_streaming) {
@@ -436,10 +431,7 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
     SEG_SPAN("replica_measure");
     Rng sample = Rng::stream(replica_seed, 2);
     double autocorr_lag1 = nan_metric();
-    if (replay) {
-      autocorr_lag1 = replay->autocorrelation(1);
-    } else if (needs_autocorr) {
-      // StreamingObservables::autocorrelation(1) over the same samples.
+    if (needs_autocorr) {
       const std::vector<double> gamma = autocovariance(magnetization, 1);
       autocorr_lag1 = gamma[0] == 0.0 ? 0.0 : gamma[1] / gamma[0];
     }

@@ -42,9 +42,10 @@ class MetricContext {
   const RunResult& run;
   const ScenarioSpec& spec;
   Rng& sample_rng;
-  // Lag-1 time autocorrelation of the magnetization samples the replica
-  // took every streaming_sample_every flips (streaming_autocorr_lag1);
-  // NaN when that metric was not requested.
+  // Lag-1 time autocorrelation (streaming_autocorr_lag1) of the
+  // magnetization samples the replica took every streaming_sample_every
+  // flips, serial or sharded, by the batch autocovariance()
+  // (analysis/correlation.h); NaN when that metric was not requested.
   double autocorr_lag1;
 
   // Lazily computed, cached for the lifetime of the replica. spins() is

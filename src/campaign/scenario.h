@@ -102,18 +102,19 @@ struct ScenarioSpec {
   double almost_eps = 0.1;             // epsilon for almost-mono regions
 
   // Flip interval between the magnetization samples behind
-  // streaming_autocorr_lag1 (and the live streaming.magnetization gauge)
-  // when streaming metrics are active; 0 = auto (n^2 / 64). Only enters
+  // streaming_autocorr_lag1 (and the streaming.magnetization gauge):
+  // serial runs take them when any streaming metric is active, sharded
+  // runs only for that metric; 0 = auto (n^2 / 64). Only enters
   // the canonical text (and checkpoint hash) when nonzero.
   std::uint64_t streaming_sample_every = 0;
 
   // Names resolved against the metric registry (campaign/metrics.h).
   // The pseudo-metric "streaming" expands to the full streaming
   // observable group (expand_metric_names). The group holds the values a
-  // StreamingObservables engine reports at the end of the run, computed
-  // from the final state (one cluster rescan, shared with the
-  // cluster-derived built-ins) and a magnetization sample series; only a
-  // sharded replica requesting streaming_autocorr_lag1 runs the engine.
+  // StreamingObservables engine would report at the end of the run,
+  // computed from the final state (one cluster rescan, shared with the
+  // cluster-derived built-ins) and a magnetization sample series; no
+  // replica runs the engine.
   std::vector<std::string> metrics = {"flips", "fixation", "majority",
                                       "mean_mono_region"};
 

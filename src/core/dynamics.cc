@@ -103,20 +103,13 @@ RunResult run_synchronous(SchellingModel& model, std::uint64_t max_rounds,
     prev_spins = model.spins();
 
     // Synchronous flips are unconditional and commute within a round, so
-    // the committed state does not depend on batch order. With no per-flip
-    // observer attached we build the batch by a row-wise scan of the cached
-    // membership codes (one contiguous byte test per site — vectorizable)
-    // instead of walking the flippable set's insertion-ordered storage.
-    // An observer pins the legacy set order so its event stream is stable.
+    // the committed state does not depend on batch order: the batch is a
+    // row-wise scan of the cached membership codes (one contiguous byte
+    // test per site — vectorizable).
     batch.clear();
-    if (model.flip_observer() == nullptr) {
-      const auto count = static_cast<std::uint32_t>(model.agent_count());
-      for (std::uint32_t id = 0; id < count; ++id) {
-        if (model.flippable_cached(id)) batch.push_back(id);
-      }
-    } else {
-      batch.assign(model.flippable_set().items().begin(),
-                   model.flippable_set().items().end());
+    const auto count = static_cast<std::uint32_t>(model.agent_count());
+    for (std::uint32_t id = 0; id < count; ++id) {
+      if (model.flippable_cached(id)) batch.push_back(id);
     }
     for (const std::uint32_t id : batch) {
       model.flip(id);  // unconditional: synchronous rule commits the batch

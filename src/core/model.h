@@ -181,9 +181,9 @@ class SchellingModel {
   // the firewall/adversarial experiments may force arbitrary flips.
   void flip(std::uint32_t id) { engine_.flip(id); }
 
-  // Streaming-measurement hook: the observer fires after every flip (see
-  // the FlipObserver contract in lattice/engine.h). Serial dynamics only;
-  // sharded sweeps must use ParallelOptions::streaming instead.
+  // Per-flip hook: the observer fires after every flip (see the
+  // FlipObserver contract in lattice/engine.h). Serial dynamics only;
+  // sharded sweeps sample through ParallelOptions::sample_every instead.
   void set_flip_observer(FlipObserver* observer) {
     engine_.set_observer(observer);
   }

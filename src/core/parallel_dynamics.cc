@@ -5,7 +5,6 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/streaming.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "util/seg_assert.h"
@@ -29,16 +28,16 @@ ParallelRunResult run_parallel_glauber(SchellingModel& model,
                                        std::uint64_t seed,
                                        const ParallelOptions& options) {
   const int k = model.shard_count();
-  StreamingObservables* streaming = options.streaming;
+  const bool sampling = options.sample_every > 0;
   SEG_ASSERT(model.flip_observer() == nullptr || k == 1,
              "engine-level flip observer attached to a " << k
-                 << "-shard model: phase A is concurrent; route streaming "
-                    "measurement through ParallelOptions::streaming");
+                 << "-shard model: phase A is concurrent; sample the "
+                    "magnetization through ParallelOptions::sample_every");
 
   struct ShardState {
     Rng rng;
     std::vector<std::uint32_t> queue;  // deferred boundary draws
-    std::vector<std::uint32_t> events;  // applied flips, for streaming
+    std::vector<std::int8_t> spins;     // applied flips' new spins
     std::uint64_t flips = 0;            // this sweep
     std::uint64_t deferred = 0;         // this sweep
     double time = 0.0;                  // shard-local Poisson clock
@@ -61,7 +60,8 @@ ParallelRunResult run_parallel_glauber(SchellingModel& model,
   std::optional<ThreadPool> pool;
   if (width > 1) pool.emplace(width, "shards");
   ParallelRunResult result;
-  std::vector<std::uint32_t> reconciled_events;
+  std::vector<std::int8_t> reconciled_spins;
+  std::int64_t magnetization = model.magnetization();
   std::uint64_t flips_since_sample = 0;
 
   while (!model.terminated() && result.flips < options.max_flips &&
@@ -92,7 +92,7 @@ ParallelRunResult run_parallel_glauber(SchellingModel& model,
         }
         model.flip(id);
         ++st.flips;
-        if (streaming != nullptr) st.events.push_back(id);
+        if (sampling) st.spins.push_back(model.spin(id));
       }
     };
     if (pool) {
@@ -140,7 +140,7 @@ ParallelRunResult run_parallel_glauber(SchellingModel& model,
             ++sweep_reconciled;
             ++result.reconciled;
             ++result.flips;
-            if (streaming != nullptr) reconciled_events.push_back(id);
+            if (sampling) reconciled_spins.push_back(model.spin(id));
           }
         }
         st.queue.clear();
@@ -148,29 +148,22 @@ ParallelRunResult run_parallel_glauber(SchellingModel& model,
       SEG_COUNT("dynamics.reconciled", sweep_reconciled);
       SEG_COUNT("dynamics.flips", sweep_reconciled);
     }
-    if (streaming != nullptr) {
-      // Drain the sweep's events serially: phase-A logs in shard order
-      // (interior sites, disjoint across shards and from the boundary
-      // sites phase B touches, so per-site ordering is preserved), then
-      // the reconciled boundary flips in application order. Samples are
-      // taken on the replayed stream every `streaming_sample_every`
-      // flips (or once per sweep when 0), deterministically.
-      SEG_SPAN("streaming_replay");
-      const auto drain = [&](std::uint32_t id) {
-        streaming->apply_flip(id);
-        if (options.streaming_sample_every > 0 &&
-            ++flips_since_sample >= options.streaming_sample_every) {
+    if (sampling) {
+      // Fold the sweep's flips: phase-A logs in shard order, then the
+      // reconciled flips in application order; each adds +-2.
+      const auto fold = [&](std::int8_t spin) {
+        magnetization += 2 * spin;
+        if (++flips_since_sample >= options.sample_every) {
           flips_since_sample = 0;
-          streaming->record_sample();
+          result.magnetization.push_back(magnetization);
         }
       };
       for (ShardState& st : shards) {
-        for (const std::uint32_t id : st.events) drain(id);
-        st.events.clear();
+        for (const std::int8_t spin : st.spins) fold(spin);
+        st.spins.clear();
       }
-      for (const std::uint32_t id : reconciled_events) drain(id);
-      reconciled_events.clear();
-      if (options.streaming_sample_every == 0) streaming->record_sample();
+      for (const std::int8_t spin : reconciled_spins) fold(spin);
+      reconciled_spins.clear();
     }
     ++result.sweeps;
   }

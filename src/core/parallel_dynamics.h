@@ -39,33 +39,28 @@
 
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "core/dynamics.h"
 #include "core/model.h"
 
 namespace seg {
 
-class StreamingObservables;
-
 struct ParallelOptions {
   // Worker threads for phase A; 0 = hardware concurrency, capped at the
   // shard count. A width of 1 runs phase A on the calling thread with no
   // pool; wider runs build a pool for the run.
   std::size_t threads = 0;
-  // Streaming measurement sink (analysis/streaming.h). Phase-A workers
-  // append applied flips to per-shard event logs (no shared writes); the
-  // logs are drained into the sink serially at every reconciliation
-  // barrier in ascending shard order, followed by the reconciled flips
-  // in application order. The sink therefore sees a deterministic event
-  // stream (per shard count, at any thread count) whose final state is
-  // exactly the engine's. Do NOT additionally attach the sink as the
-  // engine's FlipObserver — phase A is concurrent.
-  StreamingObservables* streaming = nullptr;
-  // Flips between time-autocorrelation samples recorded into `streaming`
-  // (counted on the replayed stream, so deterministic); 0 = one sample
-  // per reconciliation sweep. Matches the serial RunOptions cadence
-  // (snapshot_every) when set to the same value.
-  std::uint64_t streaming_sample_every = 0;
+  // Flips between magnetization samples (ParallelRunResult::
+  // magnetization); 0 = no samples. Phase A logs each applied flip's new
+  // spin per shard (no shared writes), and every reconciliation barrier
+  // folds the logs in ascending shard order, then the reconciled flips in
+  // application order, adding +-2 per flip and recording the running
+  // magnetization every `sample_every` flips of that stream. The series
+  // is therefore deterministic per shard count, at any thread count; with
+  // one shard it equals run_glauber's on_snapshot series at the same
+  // RunOptions::snapshot_every (without that hook's end-of-run call).
+  std::uint64_t sample_every = 0;
   // Stop once at least this many flips were performed. Exact for one
   // shard; at k > 1 the budget is split per sweep, so a run may overshoot
   // by up to (shards - 1) * sweep_quantum flips.
@@ -87,6 +82,9 @@ struct ParallelRunResult {
   // reconciliation pass ends up applying it.
   double final_time = 0.0;
   bool terminated = false;  // absorbing state: no flippable agent left
+  // Magnetization after every ParallelOptions::sample_every flips of the
+  // folded stream; empty when sampling is off.
+  std::vector<std::int64_t> magnetization;
 };
 
 // Event-driven Glauber sweeps over a sharded model (the model must have

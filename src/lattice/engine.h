@@ -101,10 +101,11 @@ namespace seg {
 //
 // Thread-safety contract: the callback fires on whichever thread called
 // flip(). The sharded sweep engine (core/parallel_dynamics.h) runs
-// phase-A flips concurrently, so an engine-level observer must NOT be
-// attached to a sharded engine driven by the parallel sweeps — use
-// ParallelOptions::streaming, which logs per-shard flip events and
-// replays them serially at each reconciliation barrier instead.
+// phase-A flips concurrently, so an observer must NOT be attached to a
+// sharded engine driven by the parallel sweeps (it asserts so); that
+// engine samples the magnetization itself (ParallelOptions::
+// sample_every). No program path attaches an observer: the tests, the
+// perf_core streaming rows and perfbench's replica mirror do.
 class FlipObserver {
  public:
   virtual ~FlipObserver() = default;

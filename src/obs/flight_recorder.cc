@@ -5,8 +5,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string>
 
 namespace seg::obs::flight {
 
@@ -79,65 +81,76 @@ Ring* my_ring() {
   return lease.ring;
 }
 
-// ---- async-signal-safe formatting helpers (write(2) only) ----------
+// ---- byte sinks and formatting helpers ----------------------------
 
-std::size_t fd_write(int fd, const char* data, std::size_t len) {
-  std::size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::write(fd, data + done, len - done);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;
+// The dump renders through one template over a byte sink. FdSink writes
+// straight to a descriptor with write(2) only — async-signal-safe, no
+// allocation — so the signal handler can use it; StringSink appends to a
+// string for the ordinary dump_json() render.
+struct FdSink {
+  int fd;
+  std::size_t write(const char* data, std::size_t len) const {
+    std::size_t done = 0;
+    while (done < len) {
+      const ssize_t n = ::write(fd, data + done, len - done);
+      if (n <= 0) {
+        if (n < 0 && errno == EINTR) continue;
+        break;
+      }
+      done += static_cast<std::size_t>(n);
     }
-    done += static_cast<std::size_t>(n);
+    return done;
   }
-  return done;
+};
+
+struct StringSink {
+  std::string* out;
+  std::size_t write(const char* data, std::size_t len) const {
+    out->append(data, len);
+    return len;
+  }
+};
+
+template <class Sink>
+std::size_t put(const Sink& sink, const char* s) {
+  return sink.write(s, std::strlen(s));
 }
 
-std::size_t fd_puts(int fd, const char* s) {
-  return fd_write(fd, s, std::strlen(s));
-}
-
-std::size_t fd_put_i64(int fd, std::int64_t v) {
-  char buf[24];
-  char* p = buf + sizeof(buf);
-  const bool neg = v < 0;
-  std::uint64_t u =
-      neg ? ~static_cast<std::uint64_t>(v) + 1 : static_cast<std::uint64_t>(v);
-  do {
-    *--p = static_cast<char>('0' + u % 10);
-    u /= 10;
-  } while (u != 0);
-  if (neg) *--p = '-';
-  return fd_write(fd, p, static_cast<std::size_t>(buf + sizeof(buf) - p));
-}
-
-std::size_t fd_put_u64(int fd, std::uint64_t u) {
+template <class Sink>
+std::size_t put_u64(const Sink& sink, std::uint64_t u) {
   char buf[24];
   char* p = buf + sizeof(buf);
   do {
     *--p = static_cast<char>('0' + u % 10);
     u /= 10;
   } while (u != 0);
-  return fd_write(fd, p, static_cast<std::size_t>(buf + sizeof(buf) - p));
+  return sink.write(p, static_cast<std::size_t>(buf + sizeof(buf) - p));
+}
+
+template <class Sink>
+std::size_t put_i64(const Sink& sink, std::int64_t v) {
+  if (v >= 0) return put_u64(sink, static_cast<std::uint64_t>(v));
+  const std::size_t n = put(sink, "-");
+  return n + put_u64(sink, ~static_cast<std::uint64_t>(v) + 1);
 }
 
 // Event names are trusted string literals, but escape the JSON-special
 // characters anyway so a hostile name cannot break the document.
-std::size_t fd_put_json_string(int fd, const char* s) {
-  std::size_t n = fd_puts(fd, "\"");
+template <class Sink>
+std::size_t put_json_string(const Sink& sink, const char* s) {
+  std::size_t n = put(sink, "\"");
   for (; *s != '\0'; ++s) {
     const char c = *s;
     if (c == '"' || c == '\\') {
-      const char esc[3] = {'\\', c, '\0'};
-      n += fd_puts(fd, esc);
+      const char esc[2] = {'\\', c};
+      n += sink.write(esc, 2);
     } else if (static_cast<unsigned char>(c) < 0x20) {
-      n += fd_puts(fd, "?");
+      n += put(sink, "?");
     } else {
-      n += fd_write(fd, &c, 1);
+      n += sink.write(&c, 1);
     }
   }
-  n += fd_puts(fd, "\"");
+  n += put(sink, "\"");
   return n;
 }
 
@@ -160,22 +173,72 @@ bool load_event(const Ring& ring, std::size_t idx, Loaded* out) {
   return out->name != nullptr;
 }
 
-std::size_t fd_put_event(int fd, const Loaded& ev, bool first) {
+template <class Sink>
+std::size_t put_event(const Sink& sink, const Loaded& ev, bool first) {
   std::size_t n = 0;
-  if (!first) n += fd_puts(fd, ",");
-  n += fd_puts(fd, "\n  {\"seq\": ");
-  n += fd_put_u64(fd, ev.seq);
-  n += fd_puts(fd, ", \"t_us\": ");
-  n += fd_put_i64(fd, ev.t_us);
-  n += fd_puts(fd, ", \"thread\": ");
-  n += fd_put_u64(fd, ev.thread);
-  n += fd_puts(fd, ", \"name\": ");
-  n += fd_put_json_string(fd, ev.name);
-  n += fd_puts(fd, ", \"a\": ");
-  n += fd_put_i64(fd, ev.a);
-  n += fd_puts(fd, ", \"b\": ");
-  n += fd_put_i64(fd, ev.b);
-  n += fd_puts(fd, "}");
+  if (!first) n += put(sink, ",");
+  n += put(sink, "\n  {\"seq\": ");
+  n += put_u64(sink, ev.seq);
+  n += put(sink, ", \"t_us\": ");
+  n += put_i64(sink, ev.t_us);
+  n += put(sink, ", \"thread\": ");
+  n += put_u64(sink, ev.thread);
+  n += put(sink, ", \"name\": ");
+  n += put_json_string(sink, ev.name);
+  n += put(sink, ", \"a\": ");
+  n += put_i64(sink, ev.a);
+  n += put(sink, ", \"b\": ");
+  n += put_i64(sink, ev.b);
+  n += put(sink, "}");
+  return n;
+}
+
+// K-way merge across rings in global sequence order, without
+// allocation: per-ring cursor starting at the oldest surviving event.
+template <class Sink>
+std::size_t dump(const Sink& sink) {
+  std::size_t cursor[kMaxRings];
+  std::uint64_t remaining[kMaxRings];
+  std::uint64_t surviving = 0;
+  for (std::size_t r = 0; r < kMaxRings; ++r) {
+    const std::uint64_t count = g_rings[r].count.load(std::memory_order_acquire);
+    const std::uint64_t kept = count < kRingEvents ? count : kRingEvents;
+    cursor[r] = static_cast<std::size_t>((count - kept) % kRingEvents);
+    remaining[r] = kept;
+    surviving += kept;
+  }
+  const std::uint64_t total = g_seq.load(std::memory_order_relaxed);
+  std::size_t n = put(sink, "{\"flight\": [");
+  bool first = true;
+  for (;;) {
+    // Pick the ring whose head event has the smallest sequence number.
+    std::size_t best = kMaxRings;
+    Loaded best_ev{};
+    for (std::size_t r = 0; r < kMaxRings; ++r) {
+      while (remaining[r] > 0) {
+        Loaded ev{};
+        if (load_event(g_rings[r], cursor[r], &ev)) {
+          if (best == kMaxRings || ev.seq < best_ev.seq) {
+            best = r;
+            best_ev = ev;
+          }
+          break;
+        }
+        // Slot invalidated mid-overwrite (or never completed): skip it.
+        cursor[r] = (cursor[r] + 1) % kRingEvents;
+        --remaining[r];
+        --surviving;
+      }
+    }
+    if (best == kMaxRings) break;
+    n += put_event(sink, best_ev, first);
+    first = false;
+    cursor[best] = (cursor[best] + 1) % kRingEvents;
+    --remaining[best];
+  }
+  n += put(sink, "\n], \"dropped\": ");
+  n += put_u64(sink, total >= surviving ? total - surviving : 0);
+  n += put(sink, "}\n");
   return n;
 }
 
@@ -187,24 +250,25 @@ std::atomic<bool> g_handler_installed{false};
 extern "C" void seg_flight_signal_handler(int sig) {
   // Everything here is async-signal-safe: open/write/close plus the
   // manual formatters above.
+  const FdSink err{2};
   if (g_crash_path[0] != '\0') {
     const int fd =
         ::open(g_crash_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd >= 0) {
-      dump_to_fd(fd);
+      dump(FdSink{fd});
       ::close(fd);
-      fd_puts(2, "flight recorder: signal ");
-      fd_put_i64(2, sig);
-      fd_puts(2, ", dump written to ");
-      fd_puts(2, g_crash_path);
-      fd_puts(2, "\n");
+      put(err, "flight recorder: signal ");
+      put_i64(err, sig);
+      put(err, ", dump written to ");
+      put(err, g_crash_path);
+      put(err, "\n");
     }
   } else {
-    fd_puts(2, "flight recorder: signal ");
-    fd_put_i64(2, sig);
-    fd_puts(2, ", dump follows\n");
-    dump_to_fd(2);
-    fd_puts(2, "\n");
+    put(err, "flight recorder: signal ");
+    put_i64(err, sig);
+    put(err, ", dump follows\n");
+    dump(err);
+    put(err, "\n");
   }
   // Restore default disposition and re-raise so the process exits with
   // the original signal (core dump, wait status) intact.
@@ -236,128 +300,12 @@ std::uint64_t recorded_total() {
   return g_seq.load(std::memory_order_relaxed);
 }
 
-std::size_t dump_to_fd(int fd) {
-  // K-way merge across rings in global sequence order, without
-  // allocation: per-ring cursor starting at the oldest surviving event.
-  std::size_t cursor[kMaxRings];
-  std::uint64_t remaining[kMaxRings];
-  std::uint64_t surviving = 0;
-  for (std::size_t r = 0; r < kMaxRings; ++r) {
-    const std::uint64_t count = g_rings[r].count.load(std::memory_order_acquire);
-    const std::uint64_t kept = count < kRingEvents ? count : kRingEvents;
-    cursor[r] = static_cast<std::size_t>((count - kept) % kRingEvents);
-    remaining[r] = kept;
-    surviving += kept;
-  }
-  const std::uint64_t total = g_seq.load(std::memory_order_relaxed);
-  std::size_t n = fd_puts(fd, "{\"flight\": [");
-  bool first = true;
-  for (;;) {
-    // Pick the ring whose head event has the smallest sequence number.
-    std::size_t best = kMaxRings;
-    Loaded best_ev{};
-    for (std::size_t r = 0; r < kMaxRings; ++r) {
-      while (remaining[r] > 0) {
-        Loaded ev{};
-        if (load_event(g_rings[r], cursor[r], &ev)) {
-          if (best == kMaxRings || ev.seq < best_ev.seq) {
-            best = r;
-            best_ev = ev;
-          }
-          break;
-        }
-        // Slot invalidated mid-overwrite (or never completed): skip it.
-        cursor[r] = (cursor[r] + 1) % kRingEvents;
-        --remaining[r];
-        --surviving;
-      }
-    }
-    if (best == kMaxRings) break;
-    n += fd_put_event(fd, best_ev, first);
-    first = false;
-    cursor[best] = (cursor[best] + 1) % kRingEvents;
-    --remaining[best];
-  }
-  n += fd_puts(fd, "\n], \"dropped\": ");
-  n += fd_put_u64(fd, total >= surviving ? total - surviving : 0);
-  n += fd_puts(fd, "}\n");
-  return n;
-}
+std::size_t dump_to_fd(int fd) { return dump(FdSink{fd}); }
 
 std::string dump_json() {
-  // Same merge as dump_to_fd, rendered into a string (the fd path
-  // cannot be reused directly without a temp file, and the handler
-  // path must not allocate — so the merge is duplicated).
   std::string out;
   out.reserve(4096);
-  auto put_i64 = [&out](std::int64_t v) { out += std::to_string(v); };
-  auto put_u64 = [&out](std::uint64_t v) { out += std::to_string(v); };
-  auto put_json_string = [&out](const char* s) {
-    out += '"';
-    for (; *s != '\0'; ++s) {
-      if (*s == '"' || *s == '\\') out += '\\';
-      if (static_cast<unsigned char>(*s) < 0x20) {
-        out += '?';
-      } else {
-        out += *s;
-      }
-    }
-    out += '"';
-  };
-
-  std::size_t cursor[kMaxRings];
-  std::uint64_t remaining[kMaxRings];
-  std::uint64_t surviving = 0;
-  for (std::size_t r = 0; r < kMaxRings; ++r) {
-    const std::uint64_t count = g_rings[r].count.load(std::memory_order_acquire);
-    const std::uint64_t kept = count < kRingEvents ? count : kRingEvents;
-    cursor[r] = static_cast<std::size_t>((count - kept) % kRingEvents);
-    remaining[r] = kept;
-    surviving += kept;
-  }
-  const std::uint64_t total = g_seq.load(std::memory_order_relaxed);
-  out += "{\"flight\": [";
-  bool first = true;
-  for (;;) {
-    std::size_t best = kMaxRings;
-    Loaded best_ev{};
-    for (std::size_t r = 0; r < kMaxRings; ++r) {
-      while (remaining[r] > 0) {
-        Loaded ev{};
-        if (load_event(g_rings[r], cursor[r], &ev)) {
-          if (best == kMaxRings || ev.seq < best_ev.seq) {
-            best = r;
-            best_ev = ev;
-          }
-          break;
-        }
-        cursor[r] = (cursor[r] + 1) % kRingEvents;
-        --remaining[r];
-        --surviving;
-      }
-    }
-    if (best == kMaxRings) break;
-    if (!first) out += ',';
-    out += "\n  {\"seq\": ";
-    put_u64(best_ev.seq);
-    out += ", \"t_us\": ";
-    put_i64(best_ev.t_us);
-    out += ", \"thread\": ";
-    put_u64(best_ev.thread);
-    out += ", \"name\": ";
-    put_json_string(best_ev.name);
-    out += ", \"a\": ";
-    put_i64(best_ev.a);
-    out += ", \"b\": ";
-    put_i64(best_ev.b);
-    out += '}';
-    first = false;
-    cursor[best] = (cursor[best] + 1) % kRingEvents;
-    --remaining[best];
-  }
-  out += "\n], \"dropped\": ";
-  put_u64(total >= surviving ? total - surviving : 0);
-  out += "}\n";
+  dump(StringSink{&out});
   return out;
 }
 

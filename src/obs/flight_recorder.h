@@ -19,7 +19,8 @@
 //                         global sequence order.
 //  * dump_to_fd()       — async-signal-safe: write(2) only, integers
 //                         formatted by hand, no allocation, no stdio.
-//                         Same JSON shape.
+//                         Same bytes: both render through one merge
+//                         template over a byte sink.
 //  * install_crash_handler(path) — SIGSEGV/SIGABRT/SIGBUS/SIGFPE
 //                         handler that dumps to `path` (and a one-line
 //                         notice to stderr) through dump_to_fd, then

@@ -103,9 +103,6 @@ struct ProgressReporter::Impl {
     const std::int64_t conflict_depth =
         reg.gauge_value("dynamics.conflict_queue_depth");
     const std::int64_t live_mag = reg.gauge_value("streaming.magnetization");
-    const std::int64_t live_clusters = reg.gauge_value("streaming.clusters");
-    const std::int64_t live_interface =
-        reg.gauge_value("streaming.interface");
     const std::int64_t open_points = reg.gauge_value("campaign.open_points");
     const double max_ci = static_cast<double>(reg.gauge_value(
                               "campaign.max_ci_half_width_ppm")) /
@@ -134,12 +131,9 @@ struct ProgressReporter::Impl {
       }
       std::snprintf(buf, sizeof(buf),
                     "],\"conflict_queue_depth\":%lld,"
-                    "\"streaming\":{\"magnetization\":%lld,"
-                    "\"clusters\":%lld,\"interface\":%lld}",
+                    "\"streaming\":{\"magnetization\":%lld}",
                     static_cast<long long>(conflict_depth),
-                    static_cast<long long>(live_mag),
-                    static_cast<long long>(live_clusters),
-                    static_cast<long long>(live_interface));
+                    static_cast<long long>(live_mag));
       line += buf;
       if (options.adaptive) {
         std::snprintf(buf, sizeof(buf),

@@ -8,10 +8,10 @@
 // engine lock, so the callback only touches atomics — and (b) the
 // telemetry registry: engine flip counters for flips/sec, the
 // per-worker pool busy counters for utilization, the sharded
-// conflict-queue gauge, and the live streaming-observable gauges:
-// magnetization, published at every sample by analysis/streaming and by
-// a serial campaign replica's snapshot hook, and clusters / interface,
-// published by analysis/streaming only. ETA extrapolates the replica
+// conflict-queue gauge, and the live magnetization gauge, published at
+// every sample by a serial campaign replica's snapshot hook and at the
+// end of a sharded replica that samples (and by analysis/streaming,
+// which no program path runs). ETA extrapolates the replica
 // completion rate over the remaining replicas.
 //
 // Each JSONL record:
@@ -19,7 +19,7 @@
 //    "replicas_per_s": R, "flips_per_s": F, "eta_s": E,
 //    "workers": [u0, u1, ...],            // busy fraction per worker
 //    "conflict_queue_depth": D,           // sharded runs, else 0
-//    "streaming": {"magnetization": M, "clusters": C, "interface": I},
+//    "streaming": {"magnetization": M},
 //    "adaptive": {"open_points": P, "max_ci_half_width": W}}  // opt-in
 //
 // The "adaptive" object (and an "open P" status-line segment) appears

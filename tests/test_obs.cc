@@ -372,7 +372,12 @@ TEST(Progress, WritesWellFormedJsonlAndFinalRecord) {
   EXPECT_NE(last.find("\"done\":4"), std::string::npos) << last;
   EXPECT_NE(last.find("\"total\":4"), std::string::npos) << last;
   EXPECT_NE(last.find("\"workers\":"), std::string::npos) << last;
-  EXPECT_NE(last.find("\"streaming\":"), std::string::npos) << last;
+  EXPECT_NE(last.find("\"streaming\":{\"magnetization\":"),
+            std::string::npos)
+      << last;
+  // The record carries the magnetization gauge only.
+  EXPECT_EQ(last.find("\"clusters\""), std::string::npos) << last;
+  EXPECT_EQ(last.find("\"interface\""), std::string::npos) << last;
   std::remove(path.c_str());
 }
 

@@ -14,10 +14,15 @@
 //     recount audits pass mid-run and at absorption), boundary flips all
 //     route through the conflict queue, and the absorbing states are
 //     genuine (no flippable agent remains).
+//  4. The magnetization samples (ParallelOptions::sample_every) are the
+//     serial snapshot series for one shard and thread-count invariant
+//     for a fixed shard count; phase A logs them concurrently, so the
+//     sanitizer jobs run this suite.
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -368,6 +373,96 @@ TEST(ShardedDifferential, FourShardGoldenTrajectory) {
   h = fnv1a(&run.reconciled, sizeof(run.reconciled), h);
   h = fnv1a(&run.final_time, sizeof(run.final_time), h);
   EXPECT_EQ(h, kGoldenSharded4);
+}
+
+// ---- magnetization samples (ParallelOptions::sample_every) ----------------
+
+// One shard is the serial process, so its samples are run_glauber's
+// on_snapshot magnetizations at flips = F, 2F, ...; the hook's extra
+// end-of-run call is not a sample. A sweep quantum that no F divides
+// carries the sample count across barriers.
+TEST(ShardedSamples, OneShardMatchesSerialSnapshots) {
+  ModelParams p{.n = 48, .w = 3, .tau = 0.45, .p = 0.5};
+  const std::uint64_t dyn_seed = 987010;
+  for (const std::uint64_t every : {1u, 3u, 25u}) {
+    Rng init_a = Rng::stream(1001, 0);
+    SchellingModel serial(p, init_a);
+    Rng dyn = Rng::stream(dyn_seed, 0);
+    RunOptions serial_opt;
+    serial_opt.snapshot_every = every;
+    std::vector<std::int64_t> expected;
+    serial_opt.on_snapshot = [&expected](const SchellingModel& m,
+                                         std::uint64_t, double) {
+      expected.push_back(m.magnetization());
+    };
+    const RunResult serial_run = run_glauber(serial, dyn, serial_opt);
+    ASSERT_FALSE(expected.empty());
+    expected.pop_back();  // the end-of-run call
+
+    Rng init_b = Rng::stream(1001, 0);
+    SchellingModel sharded(p, init_b, ShardLayout::stripes(p.n, p.w, 1));
+    ParallelOptions opt;
+    opt.sample_every = every;
+    opt.sweep_quantum = 97;
+    const ParallelRunResult run =
+        run_parallel_glauber(sharded, dyn_seed, opt);
+    EXPECT_TRUE(run.terminated);
+    EXPECT_GT(run.sweeps, 1u);
+    EXPECT_EQ(run.flips, serial_run.flips);
+    EXPECT_EQ(run.magnetization.size(), run.flips / every);
+    EXPECT_EQ(run.magnetization, expected) << "sample_every " << every;
+  }
+}
+
+// At F = 1 every flip of the folded stream is a sample, so the series is
+// as long as the run and ends on the model's own magnetization, whatever
+// order phase A applied the flips in.
+TEST(ShardedSamples, EveryFlipSampleEndsOnModelMagnetization) {
+  ModelParams p{.n = 48, .w = 3, .tau = 0.45, .p = 0.5};
+  for (const int k : {1, 4}) {
+    Rng init = Rng::stream(1003, 0);
+    SchellingModel model(p, init, ShardLayout::stripes(p.n, p.w, k));
+    ParallelOptions opt;
+    opt.sample_every = 1;
+    const ParallelRunResult run = run_parallel_glauber(model, 987011, opt);
+    EXPECT_TRUE(run.terminated);
+    ASSERT_GT(run.flips, 0u);
+    EXPECT_EQ(run.magnetization.size(), run.flips) << k << " shards";
+    EXPECT_EQ(run.magnetization.back(), model.magnetization())
+        << k << " shards";
+  }
+}
+
+// For a fixed shard count the series is a pure function of the seed:
+// identical at 1, 2 and 4 threads, and sampling leaves the trajectory
+// that of an unsampled run.
+TEST(ShardedSamples, FourShardSeriesInvariantAcrossThreadCounts) {
+  ModelParams p{.n = 64, .w = 3, .tau = 0.45, .p = 0.5};
+  const ShardLayout layout = ShardLayout::stripes(p.n, p.w, 4);
+  Rng init_plain = Rng::stream(3001, 0);
+  SchellingModel plain(p, init_plain, layout);
+  const ParallelRunResult unsampled = run_parallel_glauber(plain, 3002);
+  EXPECT_TRUE(unsampled.magnetization.empty());
+  EXPECT_GT(unsampled.deferred, 0u);
+
+  std::vector<std::int64_t> reference;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    Rng init = Rng::stream(3001, 0);
+    SchellingModel model(p, init, layout);
+    ParallelOptions opt;
+    opt.threads = threads;
+    opt.sample_every = 7;
+    const ParallelRunResult run = run_parallel_glauber(model, 3002, opt);
+    EXPECT_EQ(model.spins(), plain.spins()) << threads << " threads";
+    EXPECT_EQ(run.flips, unsampled.flips);
+    EXPECT_EQ(run.final_time, unsampled.final_time);
+    EXPECT_EQ(run.magnetization.size(), run.flips / 7);
+    if (threads == 1) {
+      reference = run.magnetization;
+    } else {
+      EXPECT_EQ(run.magnetization, reference) << threads << " threads";
+    }
+  }
 }
 
 TEST(ShardedDifferential, RunResultAdapter) {

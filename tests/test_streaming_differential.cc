@@ -15,9 +15,7 @@
 //  * vacancy ({-1, 0, +1}) and multi-type ({0..q-1}) alphabets through
 //    apply_set(),
 //  * the PR 2 golden-trajectory Glauber fixture (streaming must not
-//    perturb the trajectory: the golden hash is re-asserted), and
-//  * the sharded parallel engine at 1 and 4 stripes and 1/2/4 threads
-//    through ParallelOptions::streaming.
+//    perturb the trajectory: the golden hash is re-asserted).
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,11 +27,8 @@
 #include "core/dynamics.h"
 #include "core/kawasaki.h"
 #include "core/model.h"
-#include "core/parallel_dynamics.h"
 #include "golden_fixtures.h"
-#include "lattice/sharded.h"
 #include "rng/rng.h"
-#include "rng/splitmix64.h"
 
 namespace seg {
 namespace {
@@ -217,49 +212,6 @@ TEST(StreamingDifferential, GoldenGlauberFixtureUnperturbed) {
 
   ASSERT_EQ(obs.field(), m.spins());
   expect_matches_batch(obs, "golden", static_cast<int>(r.flips));
-}
-
-// Sharded parallel engine: the per-shard event logs replayed at the
-// reconciliation barriers must land the streaming engine exactly on the
-// final configuration — at 1 and 4 stripes, and invariant across thread
-// counts for a fixed shard count.
-TEST(StreamingDifferential, ShardedEventReplayAtAnyThreadCount) {
-  ModelParams params{.n = 48, .w = 3, .tau = 0.45, .p = 0.5};
-  const std::uint64_t seed = 46001;
-  for (const int shards : {1, 4}) {
-    std::vector<std::int8_t> reference_spins;
-    ClusterStats reference_stats;
-    for (const std::size_t threads : {1u, 2u, 4u}) {
-      Rng init = Rng::stream(seed, 0);
-      SchellingModel model(
-          params, init,
-          ShardLayout::stripes(params.n, params.w, shards));
-      StreamingObservables obs(model.spins(), params.n);
-      ParallelOptions options;
-      options.threads = threads;
-      options.streaming = &obs;
-      const ParallelRunResult r =
-          run_parallel_glauber(model, mix_seed(seed, 1), options);
-      EXPECT_TRUE(r.terminated);
-      ASSERT_EQ(obs.field(), model.spins())
-          << shards << " shards, " << threads << " threads";
-      expect_matches_batch(obs, "sharded", shards * 100 +
-                                               static_cast<int>(threads));
-      if (reference_spins.empty()) {
-        reference_spins = model.spins();
-        reference_stats = obs.cluster_stats();
-      } else {
-        // Thread-count invariance of both trajectory and observables.
-        EXPECT_EQ(model.spins(), reference_spins);
-        EXPECT_EQ(obs.cluster_stats().cluster_count,
-                  reference_stats.cluster_count);
-        EXPECT_EQ(obs.cluster_stats().largest_cluster,
-                  reference_stats.largest_cluster);
-        EXPECT_EQ(obs.cluster_stats().interface_length,
-                  reference_stats.interface_length);
-      }
-    }
-  }
 }
 
 // The ring-buffer time autocovariance must match the batch reference on
