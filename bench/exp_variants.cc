@@ -2,8 +2,9 @@
 // remarks and related work call out:
 //
 //  (a) comfort band: agents also dislike being an overwhelming majority
-//      (tau_hi < 1). The paper conjectures this weakens segregation; we
-//      sweep tau_hi and watch the largest same-type cluster collapse.
+//      (ModelParams::tau_hi < 1). The paper conjectures this weakens
+//      segregation; we sweep tau_hi and watch the largest same-type
+//      cluster collapse.
 //  (b) asymmetric intolerance (Barmpalias et al. [26]): tau_minus != tau.
 //      The open system drifts toward the more tolerant type.
 //  (c) multi-type (Potts-like, Schulze [20]): q types under the same rule;
@@ -13,7 +14,6 @@
 
 #include "analysis/clusters.h"
 #include "analysis/regions.h"
-#include "core/comfort.h"
 #include "core/dynamics.h"
 #include "core/model.h"
 #include "io/table.h"
@@ -38,13 +38,15 @@ int main(int argc, char** argv) {
     for (const double tau_hi : {1.0, 0.9, 0.8, 0.7, 0.6}) {
       seg::RunningStats quiescent, happy, largest, interface_len;
       for (std::size_t k = 0; k < trials; ++k) {
-        seg::ComfortParams p{.n = n, .w = 2, .tau_lo = 0.45,
-                             .tau_hi = tau_hi, .p = 0.5};
+        seg::ModelParams p{.n = n, .w = 2, .tau = 0.45, .p = 0.5,
+                           .tau_hi = tau_hi};
         seg::Rng init = seg::Rng::stream(seed + k, 0);
-        seg::ComfortModel m(p, init);
+        seg::SchellingModel m(p, init);
         seg::Rng dyn = seg::Rng::stream(seed + k, 1);
-        const auto r = seg::run_comfort(m, dyn, 400000);
-        quiescent.add(r.quiescent ? 1.0 : 0.0);
+        seg::RunOptions opt;
+        opt.max_flips = 400000;  // no Lyapunov guarantee under a cap
+        const auto r = seg::run_glauber(m, dyn, opt);
+        quiescent.add(r.terminated ? 1.0 : 0.0);
         happy.add(m.happy_fraction());
         const auto stats = seg::cluster_stats(m.spins(), n);
         largest.add(static_cast<double>(stats.largest_cluster));

@@ -10,11 +10,11 @@
 #include "analysis/clusters.h"
 #include "analysis/regions.h"
 #include "core/dynamics.h"
-#include "core/experiment.h"
 #include "core/model.h"
 #include "io/csv.h"
 #include "theory/constants.h"
 #include "util/args.h"
+#include "util/stats.h"
 
 int main(int argc, char** argv) {
   const seg::ArgParser args(argc, argv);

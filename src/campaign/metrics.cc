@@ -364,10 +364,11 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
     SchellingModel model =
         make_model(point.params, shared, static_cast<int>(shards), init);
     // The streaming_* metrics read the final state, except the
-    // magnetization autocorrelation, which reads samples taken every
-    // `sample_every` flips (serial runs through on_snapshot, sharded runs
-    // on the sweep engine's folded flip stream). Sampling consumes no
-    // RNG: the trajectory is bitwise the one an unmeasured run produces.
+    // magnetization autocorrelation, which reads the magnetization after
+    // every `sample_every`-th flip, taken once each (serial runs through
+    // on_snapshot, sharded runs on the sweep engine's folded flip stream).
+    // Sampling consumes no RNG: the trajectory is bitwise the one an
+    // unmeasured run produces.
     const std::uint64_t sample_every =
         spec.streaming_sample_every > 0
             ? spec.streaming_sample_every
@@ -378,6 +379,7 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
     if (spec.max_flips > 0) run_options.max_flips = spec.max_flips;
     run_options.track_time = needs_time;
     std::vector<std::int64_t> magnetization;
+    std::uint64_t last_sample = 0;  // flip count of the last serial sample
     RunResult run;
     if (sharded) {
       SEG_SPAN("replica_dynamics");
@@ -399,19 +401,20 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
       ParallelRunResult parallel = run_parallel_glauber(
           model, mix_seed(replica_seed, 1), parallel_options);
       magnetization = std::move(parallel.magnetization);
-      if (!magnetization.empty()) {
-        SEG_GAUGE_SET("streaming.magnetization", magnetization.back());
-      }
       run = to_run_result(parallel);
     } else {
       SEG_SPAN("replica_dynamics");
-      if (needs_streaming) {
-        // Also the --progress line's live magnetization gauge.
+      if (needs_autocorr) {
+        // The end-of-run call repeats the last cadence sample or lands
+        // off cadence; neither is a sample.
         run_options.snapshot_every = sample_every;
-        run_options.on_snapshot = [&magnetization](const SchellingModel& m,
-                                                   std::uint64_t, double) {
+        run_options.on_snapshot = [&magnetization, &last_sample,
+                                   sample_every](const SchellingModel& m,
+                                                 std::uint64_t flips,
+                                                 double) {
+          if (flips == last_sample || flips % sample_every != 0) return;
+          last_sample = flips;
           magnetization.push_back(m.magnetization());
-          SEG_GAUGE_SET("streaming.magnetization", magnetization.back());
         };
       }
       Rng dyn = Rng::stream(replica_seed, 1);
@@ -428,6 +431,10 @@ ReplicaFn make_schelling_replica(const ScenarioSpec& spec) {
       }
     }
     SEG_HISTOGRAM("campaign.replica_flips", run.flips);
+    // The --progress line's magnetization, one set per replica.
+    if (needs_streaming) {
+      SEG_GAUGE_SET("streaming.magnetization", model.magnetization());
+    }
     SEG_SPAN("replica_measure");
     Rng sample = Rng::stream(replica_seed, 2);
     double autocorr_lag1 = nan_metric();

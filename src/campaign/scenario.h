@@ -102,10 +102,11 @@ struct ScenarioSpec {
   double almost_eps = 0.1;             // epsilon for almost-mono regions
 
   // Flip interval between the magnetization samples behind
-  // streaming_autocorr_lag1 (and the streaming.magnetization gauge):
-  // serial runs take them when any streaming metric is active, sharded
-  // runs only for that metric; 0 = auto (n^2 / 64). Only enters
-  // the canonical text (and checkpoint hash) when nonzero.
+  // streaming_autocorr_lag1: the magnetization after every
+  // streaming_sample_every-th flip, each taken once, serial and sharded
+  // runs alike, and only when that metric is a column; 0 = auto
+  // (n^2 / 64). Only enters the canonical text (and checkpoint hash) when
+  // nonzero.
   std::uint64_t streaming_sample_every = 0;
 
   // Names resolved against the metric registry (campaign/metrics.h).

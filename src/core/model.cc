@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-
-#include "grid/torus_grid.h"
+#include <cstdlib>
 
 namespace seg {
 
@@ -48,25 +47,28 @@ BitField random_bits(int rows, int cols, double p, Rng& rng) {
   return bits;
 }
 
+std::uint8_t membership_code(const ModelParams& params, int N, bool plus,
+                             int count) {
+  const int k_plus = happiness_threshold(params.tau_of(+1), N);
+  const int k_minus = happiness_threshold(params.tau_of(-1), N);
+  const int cap = comfort_cap(params.tau_hi, N);
+  const int same = plus ? count : N - count;
+  if (same >= (plus ? k_plus : k_minus) && same <= cap) return 0;
+  const int after = N - same + 1;
+  std::uint8_t code = 1u << SchellingModel::kUnhappySet;
+  if (after >= (plus ? k_minus : k_plus) && after <= cap) {
+    code |= 1u << SchellingModel::kFlippableSet;
+  }
+  return code;
+}
+
 BinarySpinEngine SchellingModel::make_engine(const ModelParams& params,
                                             BitField bits,
                                             ShardLayout layout) {
   assert(params.valid());
   const int N = params.neighborhood_size();
-  const int k_plus = params.happy_threshold_of(+1);
-  const int k_minus = params.happy_threshold_of(-1);
-  // Membership code from (spin, +1-count): bit kUnhappySet if the agent is
-  // unhappy, bit kFlippableSet if additionally the flip would make it
-  // happy under its *new* type's threshold.
-  MembershipTable table(N, [&](bool plus, int count) -> std::uint8_t {
-    const int same = plus ? count : N - count;
-    const int threshold = plus ? k_plus : k_minus;
-    if (same >= threshold) return 0;
-    const int after = N - same + 1;
-    const int other_threshold = plus ? k_minus : k_plus;
-    std::uint8_t code = 1u << kUnhappySet;
-    if (after >= other_threshold) code |= 1u << kFlippableSet;
-    return code;
+  MembershipTable table(N, [&](bool plus, int count) {
+    return membership_code(params, N, plus, count);
   });
   return BinarySpinEngine(params.n, params.w,
                           params.shape == NeighborhoodShape::kMoore,
@@ -78,24 +80,12 @@ BinarySpinEngine SchellingModel::make_engine(const ModelParams& params,
 BinarySpinEngine SchellingModel::make_graph_engine(
     const ModelParams& params, std::shared_ptr<const GraphTopology> graph,
     BitField bits, GraphPartition partition) {
-  // Same membership rule as make_engine, but the thresholds are derived
-  // per neighborhood-size class: K = ceil(tau * N_v) for the node's own
-  // N_v. On a uniform-degree graph (torus-as-graph in particular) this
-  // collapses to exactly the torus table.
-  const double tau_plus = params.tau_of(+1);
-  const double tau_minus = params.tau_of(-1);
-  const GraphCodeFn code_of = [tau_plus, tau_minus](int N, bool plus,
-                                                    int count) -> std::uint8_t {
-    const int k_plus = happiness_threshold(tau_plus, N);
-    const int k_minus = happiness_threshold(tau_minus, N);
-    const int same = plus ? count : N - count;
-    const int threshold = plus ? k_plus : k_minus;
-    if (same >= threshold) return 0;
-    const int after = N - same + 1;
-    const int other_threshold = plus ? k_minus : k_plus;
-    std::uint8_t code = 1u << kUnhappySet;
-    if (after >= other_threshold) code |= 1u << kFlippableSet;
-    return code;
+  // The same rule per neighborhood-size class, over the node's own N_v. On
+  // a uniform-degree graph (torus-as-graph in particular) this collapses
+  // to exactly the torus table. The engine evaluates code_of only while
+  // it is built, so a reference to params suffices.
+  const GraphCodeFn code_of = [&params](int N, bool plus, int count) {
+    return membership_code(params, N, plus, count);
   };
   return BinarySpinEngine(std::move(graph), std::move(bits), code_of,
                           /*set_count=*/2, std::move(partition));
@@ -125,6 +115,7 @@ SchellingModel::SchellingModel(const ModelParams& params, BitField bits,
       N_(params.neighborhood_size()),
       k_plus_(params.happy_threshold_of(+1)),
       k_minus_(params.happy_threshold_of(-1)),
+      cap_(comfort_cap(params.tau_hi, N_)),
       engine_(make_engine(params, std::move(bits), std::move(layout))) {}
 
 SchellingModel::SchellingModel(const ModelParams& params,
@@ -150,6 +141,7 @@ SchellingModel::SchellingModel(const ModelParams& params,
       N_(params.neighborhood_size()),
       k_plus_(params.happy_threshold_of(+1)),
       k_minus_(params.happy_threshold_of(-1)),
+      cap_(comfort_cap(params.tau_hi, N_)),
       engine_(make_graph_engine(params, std::move(graph), std::move(bits),
                                 std::move(partition))) {}
 
@@ -175,8 +167,10 @@ bool SchellingModel::flip_makes_happy(std::uint32_t id) const {
   // (opposite-type count before) + 1 = N - same_count + 1, and the
   // relevant threshold is the one of its *new* type — both over the
   // agent's own neighborhood size (per node in graph mode).
-  return neighborhood_size_of(id) - same_count(id) + 1 >=
-         happy_threshold_at(id, static_cast<std::int8_t>(-spin(id)));
+  const std::int32_t after = neighborhood_size_of(id) - same_count(id) + 1;
+  const auto flipped = static_cast<std::int8_t>(-spin(id));
+  return after >= happy_threshold_at(id, flipped) &&
+         after <= comfort_cap_at(id);
 }
 
 std::int64_t SchellingModel::lyapunov() const {

@@ -14,7 +14,9 @@
 // "Flippable" means unhappy AND the flip would make the agent happy — the
 // paper's Glauber rule. For tau < 1/2 every unhappy agent is flippable
 // (first observation in Sec. II-A); for tau > 1/2 the flippable agents are
-// exactly the paper's "super-unhappy" agents (Sec. IV-C).
+// exactly the paper's "super-unhappy" agents (Sec. IV-C). With a comfort
+// cap (ModelParams::tau_hi < 1) happiness also needs the same-type count
+// at or below the cap, before the flip and after it.
 #pragma once
 
 #include <cstdint>
@@ -101,6 +103,12 @@ class SchellingModel {
     return happiness_threshold(params_.tau_of(type),
                                neighborhood_size_of(id));
   }
+  // Largest comfortable same-type count at agent id:
+  // comfort_cap(tau_hi, N_id), N_id + 1 (no cap) at tau_hi = 1.
+  int comfort_cap_at(std::uint32_t id) const {
+    if (!graph_mode()) return cap_;
+    return comfort_cap(params_.tau_hi, neighborhood_size_of(id));
+  }
   // Can a flip at id write another shard's storage? Unified over stripe
   // layouts and graph partitions — the parallel sweep engine's routing
   // question.
@@ -133,10 +141,13 @@ class SchellingModel {
   std::int32_t same_count(std::uint32_t id) const;
 
   bool is_happy(std::uint32_t id) const {
-    return same_count(id) >= happy_threshold_at(id, spin(id));
+    const std::int32_t same = same_count(id);
+    return same >= happy_threshold_at(id, spin(id)) &&
+           same <= comfort_cap_at(id);
   }
   bool is_unhappy(std::uint32_t id) const { return !is_happy(id); }
-  // Would flipping make the agent happy? (N - same + 1 >= K after flip.)
+  // Would flipping make the agent happy? (N - same + 1 lands in the new
+  // type's band after the flip.)
   bool flip_makes_happy(std::uint32_t id) const;
   bool is_flippable(std::uint32_t id) const {
     return is_unhappy(id) && flip_makes_happy(id);
@@ -189,13 +200,15 @@ class SchellingModel {
   }
   FlipObserver* flip_observer() const { return engine_.observer(); }
 
-  // Paper's termination certificate: the process has stopped when no
-  // unhappy agent can become happy by flipping. Aggregates across shards.
+  // The absorbing state: no unhappy agent can become happy by flipping.
+  // Aggregates across shards. The paper's model always reaches it; with a
+  // comfort cap (tau_hi < 1) a run may never do so.
   bool terminated() const { return count_flippable() == 0; }
 
   // Lyapunov function of Sec. II-A ("Termination"): sum over all agents of
   // their same-type neighbor count. Strictly increases with every flip of
-  // a flippable agent. O(n^2) to evaluate.
+  // a flippable agent in the paper's model (tau_hi = 1); a capped flip
+  // can lower it. O(n^2) to evaluate.
   std::int64_t lyapunov() const;
 
   std::size_t count_unhappy() const {
@@ -235,8 +248,18 @@ class SchellingModel {
   int N_;        // neighborhood size
   int k_plus_;   // happiness threshold for +1 agents
   int k_minus_;  // happiness threshold for -1 agents
+  int cap_;      // comfort cap (torus mode)
   BinarySpinEngine engine_;
 };
+
+// The model's membership rule, shared by the torus table and the graph
+// per-size tables: the code of an agent of the given spin sign with
+// `count` +1 agents in its N-site neighborhood. Bit kUnhappySet if the
+// same-type count lies outside [K_type, cap]; bit kFlippableSet if, in
+// addition, the flipped agent's count N - same + 1 lies inside its new
+// type's band.
+std::uint8_t membership_code(const ModelParams& params, int N, bool plus,
+                             int count);
 
 // Offset stencil for a shape/horizon pair, (0,0) included.
 std::vector<Point> neighborhood_offsets(NeighborhoodShape shape, int w);

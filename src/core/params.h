@@ -12,9 +12,14 @@
 // type its own intolerance: set tau_minus >= 0 to let (-1) agents use a
 // different threshold than (+1) agents (tau_minus < 0, the default, means
 // both types share `tau`).
+//
+// The "uncomfortable majority" variant of the paper's concluding remarks
+// (Sec. V) caps the same-type fraction as well: with tau_hi < 1 an agent
+// is happy iff its same-type count lies in [K, floor(tau_hi N)].
 #pragma once
 
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 
 #include "lattice/membership.h"
@@ -36,6 +41,19 @@ inline std::int64_t window_site_count(NeighborhoodShape shape, int w) {
                                             : 2 * r * (r + 1) + 1;
 }
 
+// Largest comfortable same-type count in an N-site neighborhood:
+// floor(tau_hi * N), robust to fp edges (the mirror of the ceil in
+// happiness_threshold). A cap of N or more caps nothing, and reads N + 1,
+// so the paper's model (tau_hi = 1) keeps its membership table exactly.
+inline int comfort_cap(double tau_hi, int N) {
+  const double scaled = tau_hi * N;
+  const double nearest = std::nearbyint(scaled);
+  const int cap = std::abs(scaled - nearest) < 1e-9 * N
+                      ? static_cast<int>(nearest)
+                      : static_cast<int>(std::floor(scaled));
+  return cap >= N ? N + 1 : cap;
+}
+
 struct ModelParams {
   int n = 64;         // grid side
   int w = 2;          // horizon (neighborhood radius)
@@ -44,6 +62,11 @@ struct ModelParams {
   double p = 0.5;     // initial Bernoulli parameter for type +1
   double tau_minus = -1.0;  // optional separate intolerance for type -1
   NeighborhoodShape shape = NeighborhoodShape::kMoore;
+  // Upper edge of the comfort band, shared by both types; 1 is the paper's
+  // model. tau_hi < 1 has no Lyapunov certificate (a flip can lower the
+  // aggregate same-type count), so such runs may never absorb and need a
+  // RunOptions::max_flips budget.
+  double tau_hi = 1.0;
 
   int neighborhood_size() const {
     return static_cast<int>(window_site_count(shape, w));
@@ -66,12 +89,13 @@ struct ModelParams {
   bool symmetric() const { return tau_minus < 0.0 || tau_minus == tau; }
 
   // Also refuses windows over kMaxNeighborhoodSize sites (w > 90 on the
-  // Moore stencil).
+  // Moore stencil) and a comfort band that is empty for either type.
   bool valid() const {
     return n > 0 && w >= 1 && 2 * w + 1 <= n &&
            window_site_count(shape, w) <= kMaxNeighborhoodSize &&
            tau >= 0.0 && tau <= 1.0 && p >= 0.0 && p <= 1.0 &&
-           (tau_minus < 0.0 || tau_minus <= 1.0);
+           (tau_minus < 0.0 || tau_minus <= 1.0) && tau_hi <= 1.0 &&
+           tau <= tau_hi && tau_of(-1) <= tau_hi;
   }
 };
 

@@ -415,13 +415,16 @@ BinarySpinEngine::flip_avx512(std::uint32_t id, std::int32_t delta) {
   const __m512i vb3 =
       _mm512_set1_epi16(static_cast<std::int16_t>(breaks_[3] - shift));
   const bool wide = break_count_ > 4;
-  __m512i vb4, vb5, vb6, vb7;
-  if (wide) {
-    vb4 = _mm512_set1_epi16(static_cast<std::int16_t>(breaks_[4] - shift));
-    vb5 = _mm512_set1_epi16(static_cast<std::int16_t>(breaks_[5] - shift));
-    vb6 = _mm512_set1_epi16(static_cast<std::int16_t>(breaks_[6] - shift));
-    vb7 = _mm512_set1_epi16(static_cast<std::int16_t>(breaks_[7] - shift));
-  }
+  // breaks_ always holds kMaxBreaks sentinel-padded entries, so the second
+  // block is set unconditionally (no maybe-uninitialized paths).
+  const __m512i vb4 =
+      _mm512_set1_epi16(static_cast<std::int16_t>(breaks_[4] - shift));
+  const __m512i vb5 =
+      _mm512_set1_epi16(static_cast<std::int16_t>(breaks_[5] - shift));
+  const __m512i vb6 =
+      _mm512_set1_epi16(static_cast<std::int16_t>(breaks_[6] - shift));
+  const __m512i vb7 =
+      _mm512_set1_epi16(static_cast<std::int16_t>(breaks_[7] - shift));
   std::int16_t* counts = plus_count_.data();
   // Same decomposition and order as for_each_window_span: rows from
   // cy - w wrapping upward, each row the wrapped-start segment then (if

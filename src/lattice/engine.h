@@ -1,6 +1,7 @@
 // The shared incremental engine for binary-spin lattice models
-// (SchellingModel, ComfortModel, and anything with an agent state of
-// +1/-1 and a classification driven by the windowed +1-count).
+// (SchellingModel, its comfort-capped variant included, and anything with
+// an agent state of +1/-1 and a classification driven by the windowed
+// +1-count).
 //
 // The engine owns the spin field, the per-site +1 window counts, a
 // per-site membership code (see membership.h), and up to 8 AgentSets.

@@ -21,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/comfort.h"
 #include "core/dynamics.h"
 #include "core/kawasaki.h"
 #include "core/model.h"
@@ -239,11 +238,13 @@ TEST(PackedDifferential, SynchronousReproducesGolden) {
 }
 
 TEST(PackedDifferential, ComfortReproducesGolden) {
-  ComfortParams p{.n = 40, .w = 2, .tau_lo = 0.4, .tau_hi = 0.8, .p = 0.5};
+  ModelParams p{.n = 40, .w = 2, .tau = 0.4, .p = 0.5, .tau_hi = 0.8};
   Rng init = Rng::stream(1005, 0);
-  ComfortModel m(p, init);
+  SchellingModel m(p, init);
   Rng dyn = Rng::stream(1005, 1);
-  const ComfortRunResult r = run_comfort(m, dyn, 5000);
+  RunOptions opt;
+  opt.max_flips = 5000;
+  const RunResult r = run_glauber(m, dyn, opt);
   std::uint64_t h = spins_hash(m.spins());
   h = mix(h, r.flips);
   h = mix_double(h, r.final_time);

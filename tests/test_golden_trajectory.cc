@@ -1,16 +1,16 @@
 // Golden-seed trajectory regression: the lattice-engine ports of all five
-// model variants must reproduce the pre-refactor implementations bit for
-// bit — same flips, same RNG consumption, same AgentSet iteration order.
+// model variants (the comfort band is SchellingModel with tau_hi < 1) must
+// reproduce the pre-refactor implementations bit for bit — same flips,
+// same RNG consumption, same AgentSet iteration order.
 // The constants below were captured from the seed implementations (before
 // src/lattice/ existed) with exactly these parameters and seeds; any
 // change in sampling order, count maintenance, or set mutation order
 // shows up here as a hash mismatch.
 //
-// Also pins the comfort-band equivalence: with tau_hi = 1 (k_hi = N) the
-// ComfortModel is the paper's model, flip for flip.
+// Also pins that an explicit tau_hi = 1 is the paper's model, flip for
+// flip.
 #include <gtest/gtest.h>
 
-#include "core/comfort.h"
 #include "core/dynamics.h"
 #include "core/kawasaki.h"
 #include "core/model.h"
@@ -91,11 +91,13 @@ TEST(GoldenTrajectory, Synchronous) {
 }
 
 TEST(GoldenTrajectory, ComfortBand) {
-  ComfortParams p{.n = 40, .w = 2, .tau_lo = 0.4, .tau_hi = 0.8, .p = 0.5};
+  ModelParams p{.n = 40, .w = 2, .tau = 0.4, .p = 0.5, .tau_hi = 0.8};
   Rng init = Rng::stream(1005, 0);
-  ComfortModel m(p, init);
+  SchellingModel m(p, init);
   Rng dyn = Rng::stream(1005, 1);
-  const ComfortRunResult r = run_comfort(m, dyn, 5000);
+  RunOptions opt;
+  opt.max_flips = 5000;
+  const RunResult r = run_glauber(m, dyn, opt);
   std::uint64_t h = hash_bytes(m.spins().data(), m.spins().size());
   h = mix(h, r.flips);
   h = mix_double(h, r.final_time);
@@ -143,44 +145,20 @@ TEST(GoldenTrajectory, MultiTypeQ4) {
   EXPECT_EQ(h, kGoldenMulti);
 }
 
-// tau_hi = 1 makes the comfort band one-sided: k_hi = N, so the model is
-// exactly the paper's. The two engines must then consume identical RNG
-// draws and flip identical agents, step for step.
-TEST(GoldenTrajectory, ComfortWithFullBandMatchesSchellingFlipForFlip) {
-  const int n = 40;
-  const double tau = 0.45;
-  Rng spin_rng(2024);
-  const auto spins = random_spins(n, 0.5, spin_rng);
-
-  ModelParams sp{.n = n, .w = 2, .tau = tau, .p = 0.5};
-  SchellingModel schelling(sp, spins);
-  ComfortParams cp{.n = n, .w = 2, .tau_lo = tau, .tau_hi = 1.0, .p = 0.5};
-  ASSERT_EQ(cp.k_hi(), cp.neighborhood_size());
-  ASSERT_EQ(cp.k_lo(), sp.happy_threshold());
-  ComfortModel comfort(cp, spins);
-
-  Rng rng_s(555), rng_c(555);
-  std::uint64_t steps = 0;
-  while (!schelling.terminated()) {
-    ASSERT_FALSE(comfort.quiescent());
-    ASSERT_EQ(schelling.flippable_set().size(),
-              comfort.flippable_set().size());
-    const double dt_s = rng_s.exponential(
-        static_cast<double>(schelling.flippable_set().size()));
-    const double dt_c = rng_c.exponential(
-        static_cast<double>(comfort.flippable_set().size()));
-    ASSERT_EQ(dt_s, dt_c);
-    const std::uint32_t id_s = schelling.flippable_set().sample(rng_s);
-    const std::uint32_t id_c = comfort.flippable_set().sample(rng_c);
-    ASSERT_EQ(id_s, id_c);
-    schelling.flip(id_s);
-    comfort.flip(id_c);
-    ++steps;
-    ASSERT_LT(steps, 1000000u) << "runaway trajectory";
-  }
-  EXPECT_TRUE(comfort.quiescent());
-  EXPECT_EQ(schelling.spins(), comfort.spins());
-  EXPECT_GT(steps, 0u);
+// tau_hi = 1 caps nothing: written out, it is the default field, and the
+// golden Glauber trajectory is unchanged, flip for flip.
+TEST(GoldenTrajectory, ExplicitFullComfortBandIsTheDefault) {
+  EXPECT_EQ(ModelParams{}.tau_hi, 1.0);
+  ModelParams p{.n = 48, .w = 3, .tau = 0.45, .p = 0.5, .tau_hi = 1.0};
+  Rng init = Rng::stream(1001, 0);
+  SchellingModel m(p, init);
+  Rng dyn = Rng::stream(1001, 1);
+  const RunResult r = run_glauber(m, dyn);
+  EXPECT_TRUE(r.terminated);
+  std::uint64_t h = hash_bytes(m.spins().data(), m.spins().size());
+  h = mix(h, r.flips);
+  h = mix_double(h, r.final_time);
+  EXPECT_EQ(h, kGoldenGlauber);
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 
 #include <memory>
 
-#include "core/comfort.h"
 #include "core/dynamics.h"
 #include "core/kawasaki.h"
 #include "core/model.h"
@@ -97,13 +96,14 @@ TEST(GraphDifferential, SynchronousGoldenBitwise) {
 }
 
 TEST(GraphDifferential, ComfortGoldenBitwise) {
-  ComfortParams p{.n = 40, .w = 2, .tau_lo = 0.4, .tau_hi = 0.8, .p = 0.5};
+  ModelParams p{.n = 40, .w = 2, .tau = 0.4, .p = 0.5, .tau_hi = 0.8};
   Rng init = Rng::stream(1005, 0);
-  const auto spins = random_spins(p.n, p.p, init);
-  ComfortModel m(p, torus_graph(p.n, NeighborhoodShape::kMoore, p.w), spins);
+  SchellingModel m(p, torus_graph(p.n, p.shape, p.w), init);
   ASSERT_TRUE(m.graph_mode());
   Rng dyn = Rng::stream(1005, 1);
-  const ComfortRunResult r = run_comfort(m, dyn, 5000);
+  RunOptions opt;
+  opt.max_flips = 5000;
+  const RunResult r = run_glauber(m, dyn, opt);
   std::uint64_t h = hash_bytes(m.spins().data(), m.spins().size());
   h = mix(h, r.flips);
   h = mix_double(h, r.final_time);

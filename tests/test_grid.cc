@@ -1,7 +1,4 @@
 #include "grid/point.h"
-#include "grid/torus_grid.h"
-
-#include <set>
 
 #include <gtest/gtest.h>
 
@@ -51,76 +48,6 @@ TEST(TorusDistances, L1AcrossSeam) {
 TEST(TorusDistances, L2Squared) {
   EXPECT_EQ(torus_l2_sq({0, 0}, {3, 4}, 100), 25);
   EXPECT_EQ(torus_l2_sq({0, 0}, {99, 0}, 100), 1);
-}
-
-TEST(TorusGridTest, FillAndAccess) {
-  TorusGrid<int> g(4, 7);
-  EXPECT_EQ(g.side(), 4);
-  EXPECT_EQ(g.size(), 16u);
-  EXPECT_EQ(g.at(2, 3), 7);
-  g.at(2, 3) = 9;
-  EXPECT_EQ(g.at(2, 3), 9);
-}
-
-TEST(TorusGridTest, WrappingAccessAliases) {
-  TorusGrid<int> g(5);
-  g.at(0, 0) = 42;
-  EXPECT_EQ(g.at(5, 5), 42);
-  EXPECT_EQ(g.at(-5, 0), 42);
-  EXPECT_EQ(g.at(-5, 10), 42);
-}
-
-TEST(TorusGridTest, IndexPointRoundTrip) {
-  TorusGrid<int> g(6);
-  const std::size_t i = g.index_of(4, 5);
-  const Point p = g.point_of(i);
-  EXPECT_EQ(p.x, 4);
-  EXPECT_EQ(p.y, 5);
-}
-
-TEST(TorusGridTest, EqualityComparesContents) {
-  TorusGrid<int> a(3, 1), b(3, 1);
-  EXPECT_EQ(a, b);
-  b.at(1, 1) = 2;
-  EXPECT_NE(a, b);
-}
-
-TEST(ForEachInBall, VisitsExactlyBallSize) {
-  int count = 0;
-  for_each_in_ball(2, 2, 1, 10, [&](int, int) { ++count; });
-  EXPECT_EQ(count, 9);
-  count = 0;
-  for_each_in_ball(0, 0, 3, 10, [&](int, int) { ++count; });
-  EXPECT_EQ(count, 49);
-}
-
-TEST(ForEachInBall, NoDuplicateSitesAndAllInRange) {
-  std::set<std::pair<int, int>> seen;
-  for_each_in_ball(1, 8, 2, 9, [&](int x, int y) {
-    EXPECT_GE(x, 0);
-    EXPECT_LT(x, 9);
-    EXPECT_GE(y, 0);
-    EXPECT_LT(y, 9);
-    EXPECT_TRUE(seen.emplace(x, y).second) << "duplicate " << x << "," << y;
-  });
-  EXPECT_EQ(seen.size(), 25u);
-}
-
-TEST(ForEachInBall, CentersOnRequestedSite) {
-  bool saw_center = false;
-  for_each_in_ball(4, 4, 1, 8, [&](int x, int y) {
-    if (x == 4 && y == 4) saw_center = true;
-  });
-  EXPECT_TRUE(saw_center);
-}
-
-TEST(ForEachInBall, WrapsAroundSeam) {
-  std::set<std::pair<int, int>> seen;
-  for_each_in_ball(0, 0, 1, 5, [&](int x, int y) { seen.emplace(x, y); });
-  EXPECT_TRUE(seen.count({4, 4}));
-  EXPECT_TRUE(seen.count({0, 4}));
-  EXPECT_TRUE(seen.count({4, 0}));
-  EXPECT_TRUE(seen.count({1, 1}));
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/comfort.h"
 #include "core/model.h"
 #include "core/parallel_dynamics.h"
 #include "core/vacancy.h"
@@ -114,14 +113,16 @@ TEST(InvariantFuzz, ShardedEngineArbitraryFlips) {
 }
 
 TEST(InvariantFuzz, ComfortBandArbitraryFlips) {
-  const ComfortParams configs[] = {
-      {.n = 32, .w = 2, .tau_lo = 0.4, .tau_hi = 0.8, .p = 0.5},
-      {.n = 24, .w = 3, .tau_lo = 0.3, .tau_hi = 0.6, .p = 0.45},
+  const ModelParams configs[] = {
+      {.n = 32, .w = 2, .tau = 0.4, .p = 0.5, .tau_hi = 0.8},
+      {.n = 24, .w = 3, .tau = 0.3, .p = 0.45, .tau_hi = 0.6},
+      {.n = 24, .w = 3, .tau = 0.45, .p = 0.5, .tau_minus = 0.3,
+       .shape = NeighborhoodShape::kVonNeumann, .tau_hi = 0.7},
   };
   std::uint64_t seed = 33001;
-  for (const ComfortParams& params : configs) {
+  for (const ModelParams& params : configs) {
     Rng rng(seed++);
-    ComfortModel model(params, rng);
+    SchellingModel model(params, rng);
     ASSERT_TRUE(model.check_invariants());
     for (int step = 0; step < kSteps; ++step) {
       model.flip(static_cast<std::uint32_t>(

@@ -4,9 +4,11 @@
 // recount of every stencil row and ascending AgentSet::insert calls — and
 // requires identical counts, codes, set items() sequences and membership,
 // for Moore and von Neumann windows, asymmetric thresholds, the comfort
-// band, stripe layouts, and graph partitions. It also pins
-// the Rng constructors to the random_spins draw sequence and the loud
+// cap, stripe layouts, and graph partitions. It also pins the model's one
+// membership rule (membership_code) to reference tables at every count,
+// the Rng constructors to the random_spins draw sequence, and the loud
 // refusal of malformed explicit fields.
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -14,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/comfort.h"
 #include "core/model.h"
 #include "core/params.h"
 #include "graph/partition.h"
@@ -65,15 +66,23 @@ MembershipTable schelling_table(int N, int k_plus, int k_minus) {
   });
 }
 
-// The comfort-band rule (comfort.cc): one set, unhappy and the flip lands
-// inside [k_lo, k_hi].
-MembershipTable comfort_table(int N, int k_lo, int k_hi) {
+// The comfort-band rule over explicit band edges: bit 0 when the
+// same-type count lies outside [k_type, k_hi], bit 1 when in addition the
+// flip lands inside the new type's band. At k_plus == k_minus its bit 1 is
+// the rule of the former one-set comfort model.
+MembershipTable comfort_table(int N, int k_plus, int k_minus, int k_hi) {
   return MembershipTable(N, [=](bool plus, int count) -> std::uint8_t {
     const int same = plus ? count : N - count;
-    if (same >= k_lo && same <= k_hi) return 0;
+    if (same >= (plus ? k_plus : k_minus) && same <= k_hi) return 0;
     const int after = N - same + 1;
-    return after >= k_lo && after <= k_hi ? 1 : 0;
+    return after >= (plus ? k_minus : k_plus) && after <= k_hi ? 3 : 1;
   });
+}
+
+// floor(tau_hi * N) for the band edges above; exact for the fractions the
+// tests use.
+int floor_of(double tau_hi, int N) {
+  return static_cast<int>(std::floor(tau_hi * N + 1e-9));
 }
 
 std::string describe(int n, int w, NeighborhoodShape shape, double p,
@@ -186,13 +195,57 @@ TEST(ModelConstruction, ComfortBand) {
   for (const int n : {5, 63, 64, 65, 130}) {
     for (const int w : {1, 2, 4}) {
       if (2 * w + 1 > n) continue;
-      const ComfortParams params{
-          .n = n, .w = w, .tau_lo = 0.4, .tau_hi = 0.8, .p = 0.5};
+      const ModelParams params{
+          .n = n, .w = w, .tau = 0.4, .p = 0.5, .tau_hi = 0.8};
+      const int N = params.neighborhood_size();
       expect_engine_matches_reference(
           n, w, NeighborhoodShape::kMoore, params.p,
-          comfort_table(params.neighborhood_size(), params.k_lo(),
-                        params.k_hi()),
-          /*set_count=*/1, ShardLayout(), 7919u * n + w);
+          comfort_table(N, params.happy_threshold(), params.happy_threshold(),
+                        floor_of(params.tau_hi, N)),
+          /*set_count=*/2, ShardLayout(), 7919u * n + w);
+    }
+  }
+}
+
+// membership_code is the one rule both engine builds tabulate. Without a
+// cap it is the paper's rule at every count, the unreachable +1/count-0
+// and -1/count-N entries included, so the table, its crossings and the
+// flip kernel choice are those of the uncapped model. Under a cap its
+// unhappy bit is "outside the band" and its flippable bit the comfort
+// rule.
+TEST(ModelConstruction, MembershipCodeMatchesReferenceRules) {
+  struct Stencil {
+    NeighborhoodShape shape;
+    int w;
+  };
+  const Stencil stencils[] = {{NeighborhoodShape::kMoore, 1},
+                              {NeighborhoodShape::kMoore, 2},
+                              {NeighborhoodShape::kMoore, 5},
+                              {NeighborhoodShape::kVonNeumann, 3}};
+  for (const Stencil& st : stencils) {
+    for (const double tau_minus : {-1.0, 0.3}) {
+      for (const double tau_hi : {1.0, 0.9, 0.8, 0.7, 0.6}) {
+        const ModelParams params{.n = 16, .w = st.w, .tau = 0.45, .p = 0.5,
+                                 .tau_minus = tau_minus, .shape = st.shape,
+                                 .tau_hi = tau_hi};
+        ASSERT_TRUE(params.valid());
+        const int N = params.neighborhood_size();
+        const int k_plus = params.happy_threshold_of(+1);
+        const int k_minus = params.happy_threshold_of(-1);
+        const MembershipTable reference =
+            tau_hi == 1.0
+                ? schelling_table(N, k_plus, k_minus)
+                : comfort_table(N, k_plus, k_minus, floor_of(tau_hi, N));
+        for (const bool plus : {true, false}) {
+          for (int count = 0; count <= N; ++count) {
+            ASSERT_EQ(membership_code(params, N, plus, count),
+                      reference.code(plus, count))
+                << "N=" << N << " tau_minus=" << tau_minus
+                << " tau_hi=" << tau_hi << " plus=" << plus
+                << " count=" << count;
+          }
+        }
+      }
     }
   }
 }
@@ -244,17 +297,29 @@ TEST(ModelConstruction, SchellingModelSetsAreAscendingPredicates) {
   }
 }
 
-TEST(ModelConstruction, ComfortModelSetIsAscendingPredicate) {
-  const ComfortParams params{
-      .n = 65, .w = 2, .tau_lo = 0.4, .tau_hi = 0.8, .p = 0.5};
+// Under a comfort cap, on the torus and on torus-as-graph.
+TEST(ModelConstruction, ComfortCapSetsAreAscendingPredicates) {
+  const ModelParams params{
+      .n = 65, .w = 2, .tau = 0.4, .p = 0.5, .tau_hi = 0.8};
   Rng rng(60100);
-  const ComfortModel model(params, random_spins(params.n, params.p, rng));
-  std::vector<std::uint32_t> flippable;
-  for (std::uint32_t id = 0; id < model.agent_count(); ++id) {
-    if (model.is_flippable(id)) flippable.push_back(id);
+  const std::vector<std::int8_t> spins = random_spins(params.n, params.p, rng);
+  const auto graph = std::make_shared<const GraphTopology>(GraphTopology::torus(
+      params.n, neighborhood_offsets(params.shape, params.w)));
+  for (const bool on_graph : {false, true}) {
+    const SchellingModel model = on_graph
+                                     ? SchellingModel(params, graph, spins)
+                                     : SchellingModel(params, spins);
+    std::vector<std::uint32_t> unhappy, flippable;
+    for (std::uint32_t id = 0; id < model.agent_count(); ++id) {
+      if (model.is_unhappy(id)) unhappy.push_back(id);
+      if (model.is_flippable(id)) flippable.push_back(id);
+    }
+    EXPECT_EQ(model.unhappy_set().items(), unhappy) << "graph " << on_graph;
+    EXPECT_EQ(model.flippable_set().items(), flippable)
+        << "graph " << on_graph;
+    EXPECT_GT(unhappy.size(), flippable.size()) << "graph " << on_graph;
+    EXPECT_TRUE(model.check_invariants());
   }
-  EXPECT_EQ(model.flippable_set().items(), flippable);
-  EXPECT_TRUE(model.check_invariants());
 }
 
 // Graph mode counts each CSR row off the flat bits and shares the fill:
@@ -319,10 +384,11 @@ TEST(ModelConstruction, RngConstructorsFollowRandomSpinsDrawOrder) {
       EXPECT_EQ(a.next_u64(), b.next_u64()) << "p=" << p;
     }
     {
-      const ComfortParams comfort{.n = 100, .w = 3, .p = p};
+      ModelParams capped = params;
+      capped.tau_hi = 0.8;
       Rng a(61002), b(61002);
-      const ComfortModel model(comfort, a);
-      EXPECT_EQ(model.spins(), random_spins(comfort.n, p, b)) << "p=" << p;
+      const SchellingModel model(capped, a);
+      EXPECT_EQ(model.spins(), random_spins(capped.n, p, b)) << "p=" << p;
       EXPECT_EQ(a.next_u64(), b.next_u64()) << "p=" << p;
     }
     {
@@ -349,10 +415,11 @@ TEST(ModelConstructionDeathTest, RefusesMalformedExplicitFields) {
   EXPECT_DEATH(SchellingModel(params, short_field),
                "has 255 entries, expected 256");
   EXPECT_DEATH(SchellingModel(params, zero_entry), "entry 37 is 0");
-  const ComfortParams comfort{.n = 16, .w = 2};
-  EXPECT_DEATH(ComfortModel(comfort, short_field),
+  ModelParams capped = params;
+  capped.tau_hi = 0.8;
+  EXPECT_DEATH(SchellingModel(capped, short_field),
                "has 255 entries, expected 256");
-  EXPECT_DEATH(ComfortModel(comfort, zero_entry), "entry 37 is 0");
+  EXPECT_DEATH(SchellingModel(capped, zero_entry), "entry 37 is 0");
 
   const auto graph = std::make_shared<const GraphTopology>(
       GraphTopology::random_regular(101, 4, 5));
@@ -363,9 +430,9 @@ TEST(ModelConstructionDeathTest, RefusesMalformedExplicitFields) {
   EXPECT_DEATH(SchellingModel(params, graph, short_nodes),
                "has 100 entries, expected 101");
   EXPECT_DEATH(SchellingModel(params, graph, bad_node), "entry 99 is 2");
-  EXPECT_DEATH(ComfortModel(comfort, graph, short_nodes),
+  EXPECT_DEATH(SchellingModel(capped, graph, short_nodes),
                "has 100 entries, expected 101");
-  EXPECT_DEATH(ComfortModel(comfort, graph, bad_node), "entry 99 is 2");
+  EXPECT_DEATH(SchellingModel(capped, graph, bad_node), "entry 99 is 2");
 }
 
 }  // namespace

@@ -6,21 +6,32 @@
 // per-flip StreamingObservables engine. These tests pin what that must not
 // change: a reduced built-in region_size campaign with
 // metrics = streaming,flips renders the same CSV bytes at 1 and 4 worker
-// threads, and those bytes hash to values frozen from the implementation
-// that tracked every flip with the observer. The cases cover the serial
-// and the 2-shard engine, each at the default (n^2/64) and a dense
-// (every 3 flips) streaming_sample_every. No streaming_* cell may be NaN:
-// that is what a column reading a detached observer would report.
+// threads, and those bytes hash to frozen values. The cases cover the
+// serial and the 2-shard engine, each at the default (n^2/64) and a dense
+// (every 3 flips) streaming_sample_every. The 2-shard hashes come from the
+// implementation that tracked every flip with the observer; the serial
+// ones were re-frozen when the serial autocorrelation series dropped the
+// end-of-run sample, so that it holds cadence samples only, as the
+// sharded one does (every other column kept its bytes). No streaming_*
+// cell may be NaN: that is what a column reading a detached observer
+// would report. A last case pins the serial series itself.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <vector>
 
+#include "analysis/correlation.h"
 #include "campaign/builtin.h"
 #include "campaign/campaign.h"
+#include "campaign/metrics.h"
 #include "campaign/sinks.h"
+#include "core/dynamics.h"
+#include "core/model.h"
 #include "golden_fixtures.h"
+#include "lattice/engine.h"
 
 namespace seg {
 namespace {
@@ -83,14 +94,67 @@ TEST_P(StreamingCampaign, ThreadInvariantFrozenAndNaNFree) {
 
 INSTANTIATE_TEST_SUITE_P(
     RegionSize, StreamingCampaign,
-    ::testing::Values(Case{1, 0, 0x033d9ac7707a377eULL},
-                      Case{1, 3, 0x252852b086077536ULL},
+    ::testing::Values(Case{1, 0, 0x596f65b18f503c09ULL},
+                      Case{1, 3, 0x1c4bc2d3e2372e36ULL},
                       Case{2, 0, 0x6f98209c41d52f6eULL},
                       Case{2, 3, 0xcae33b9e96d0d63dULL}),
     [](const ::testing::TestParamInfo<Case>& info) {
       return "shards" + std::to_string(info.param.shards) + "_every" +
              std::to_string(info.param.sample_every);
     });
+
+// The magnetization after every flip, from the engine's flip hook.
+class MagnetizationLog : public FlipObserver {
+ public:
+  explicit MagnetizationLog(std::int64_t start) : m_(start) {}
+  void on_flip(std::uint32_t, std::int8_t new_spin) override {
+    m_ += 2 * new_spin;
+    series.push_back(m_);
+  }
+  std::vector<std::int64_t> series;
+
+ private:
+  std::int64_t m_;
+};
+
+// At streaming_sample_every = 1 the cadence samples are the magnetization
+// after each flip, once each: a serial replica's streaming_autocorr_lag1
+// is the autocorrelation of exactly that series. The end-of-run snapshot
+// call is not a sample.
+TEST(StreamingSamples, SerialReplicaReadsTheCadenceOnlySeries) {
+  ScenarioSpec spec;
+  spec.name = "serial_cadence";
+  spec.n = {32};
+  spec.w = {1, 2};
+  spec.tau = {0.40, 0.45};
+  spec.replicas = 3;
+  spec.metrics = {"streaming_autocorr_lag1", "flips"};
+  spec.streaming_sample_every = 1;
+  const ReplicaFn replica = make_schelling_replica(spec);
+  std::size_t index = 0;
+  for (const ScenarioPoint& point : expand_grid(spec)) {
+    for (std::size_t r = 0; r < spec.replicas; ++r, ++index) {
+      const std::uint64_t seed = derive_replica_seed(53, index);
+      const std::vector<double> got = replica(point, r, seed);
+      ASSERT_EQ(got.size(), 2u);
+
+      Rng init = Rng::stream(seed, 0);
+      SchellingModel model(point.params, init);
+      MagnetizationLog log(model.magnetization());
+      model.set_flip_observer(&log);
+      Rng dyn = Rng::stream(seed, 1);
+      const RunResult run = run_glauber(model, dyn);
+      ASSERT_EQ(log.series.size(), run.flips);
+      ASSERT_GT(run.flips, 1u);
+      const std::vector<double> gamma = autocovariance(log.series, 1);
+      const double expected = gamma[0] == 0.0 ? 0.0 : gamma[1] / gamma[0];
+      EXPECT_EQ(std::memcmp(&got[0], &expected, sizeof(double)), 0)
+          << "point " << point.index << " replica " << r << ": " << got[0]
+          << " vs " << expected;
+      EXPECT_EQ(got[1], static_cast<double>(run.flips));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace seg

@@ -8,8 +8,8 @@
 // reference. Mutation sources cover every model policy's alphabet and
 // event path:
 //
-//  * SchellingModel (dense Moore + sparse von Neumann asymmetric) and
-//    ComfortModel through the engine FlipObserver hook,
+//  * SchellingModel (dense Moore + sparse von Neumann asymmetric, and
+//    the comfort cap) through the engine FlipObserver hook,
 //  * Kawasaki swap dynamics through the observer — including the
 //    tentative flip/revert probes of swap_improves(),
 //  * vacancy ({-1, 0, +1}) and multi-type ({0..q-1}) alphabets through
@@ -23,7 +23,6 @@
 #include "analysis/clusters.h"
 #include "analysis/correlation.h"
 #include "analysis/streaming.h"
-#include "core/comfort.h"
 #include "core/dynamics.h"
 #include "core/kawasaki.h"
 #include "core/model.h"
@@ -106,10 +105,10 @@ TEST(StreamingDifferential, SchellingEngineObserverFuzz) {
 }
 
 TEST(StreamingDifferential, ComfortEngineObserverFuzz) {
-  const ComfortParams params{
-      .n = 24, .w = 2, .tau_lo = 0.4, .tau_hi = 0.8, .p = 0.5};
+  const ModelParams params{
+      .n = 24, .w = 2, .tau = 0.4, .p = 0.5, .tau_hi = 0.8};
   Rng rng(42001);
-  ComfortModel model(params, rng);
+  SchellingModel model(params, rng);
   StreamingConfig cfg;
   cfg.max_r = 5;
   StreamingObservables obs(model.spins(), params.n, cfg);

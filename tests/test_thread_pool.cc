@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/experiment.h"
-
 namespace seg {
 namespace {
 
@@ -48,26 +46,6 @@ TEST(ThreadPool, ReusableAfterWait) {
 TEST(ThreadPool, DefaultThreadCountPositive) {
   ThreadPool pool;
   EXPECT_GE(pool.thread_count(), 1u);
-}
-
-TEST(RunTrials, ThreadCountDoesNotChangeResults) {
-  const auto metric = [](std::size_t, Rng& rng) {
-    double acc = 0;
-    for (int i = 0; i < 10; ++i) acc += rng.uniform();
-    return acc;
-  };
-  const RunningStats serial = run_trials(32, 99, metric, 1);
-  const RunningStats threaded = run_trials(32, 99, metric, 4);
-  EXPECT_EQ(serial.count(), threaded.count());
-  EXPECT_DOUBLE_EQ(serial.mean(), threaded.mean());
-  EXPECT_DOUBLE_EQ(serial.variance(), threaded.variance());
-}
-
-TEST(RunTrials, DistinctSeedsGiveDistinctStreams) {
-  const auto metric = [](std::size_t, Rng& rng) { return rng.uniform(); };
-  const RunningStats a = run_trials(8, 1, metric, 1);
-  const RunningStats b = run_trials(8, 2, metric, 1);
-  EXPECT_NE(a.mean(), b.mean());
 }
 
 }  // namespace
