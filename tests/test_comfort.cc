@@ -1,84 +1,88 @@
 // Tests for the comfort-band ("uncomfortable majority") variant from the
-// paper's concluding remarks.
+// paper's concluding remarks: SchellingModel with a cap ModelParams::tau_hi
+// on the same-type fraction.
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
-#include "core/comfort.h"
+#include "core/dynamics.h"
+#include "core/model.h"
+#include "core/params.h"
+#include "grid/point.h"
 
 namespace seg {
 namespace {
 
-TEST(ComfortParams, BandThresholds) {
-  ComfortParams p{.n = 16, .w = 2, .tau_lo = 0.4, .tau_hi = 0.8, .p = 0.5};
-  EXPECT_EQ(p.k_lo(), 10);  // ceil(0.4 * 25)
-  EXPECT_EQ(p.k_hi(), 20);  // floor(0.8 * 25)
+std::vector<std::int8_t> uniform_spins(int n, std::int8_t v) {
+  return std::vector<std::int8_t>(static_cast<std::size_t>(n) * n, v);
+}
+
+TEST(ComfortCap, BandEdges) {
+  const ModelParams p{.n = 16, .w = 2, .tau = 0.4, .p = 0.5, .tau_hi = 0.8};
+  EXPECT_EQ(p.happy_threshold(), 10);  // ceil(0.4 * 25)
+  EXPECT_EQ(comfort_cap(p.tau_hi, 25), 20);  // floor(0.8 * 25)
+  EXPECT_EQ(comfort_cap(0.3, 10), 3);  // fp: 0.3 * 10 is a hair above 3
   EXPECT_TRUE(p.valid());
 }
 
-TEST(ComfortParams, FullBandRecoversBaseline) {
-  ComfortParams p{.n = 16, .w = 2, .tau_lo = 0.45, .tau_hi = 1.0, .p = 0.5};
-  EXPECT_EQ(p.k_hi(), 25);
+TEST(ComfortCap, FullBandIsNoCap) {
+  // A cap of N or more caps nothing; it reads N + 1 so that the flipped
+  // count of the unreachable +1/count-0 entry stays inside the band.
+  EXPECT_EQ(comfort_cap(1.0, 25), 26);
+  EXPECT_EQ(comfort_cap(0.99, 25), 24);
+  EXPECT_EQ(comfort_cap(1.0 - 1e-12, 25), 26);
 }
 
-TEST(ComfortParams, InvalidWhenBandInverted) {
-  ComfortParams p{.n = 16, .w = 2, .tau_lo = 0.8, .tau_hi = 0.4, .p = 0.5};
+TEST(ComfortCap, InvalidWhenBandEmpty) {
+  ModelParams p{.n = 16, .w = 2, .tau = 0.8, .p = 0.5, .tau_hi = 0.4};
+  EXPECT_FALSE(p.valid());
+  p.tau = 0.4;
+  EXPECT_TRUE(p.valid());
+  p.tau_minus = 0.45;  // the -1 band is empty
+  p.tau_hi = 0.42;
+  EXPECT_FALSE(p.valid());
+  p.tau_hi = 1.01;
   EXPECT_FALSE(p.valid());
 }
 
-TEST(Comfort, UniformGridIsUncomfortableUnderCappedBand) {
-  // All same type: same-count = N > k_hi — everybody is unhappy, and a
-  // flip lands at same-count 1 < k_lo, so nobody is flippable: quiescent
+TEST(ComfortCap, UniformGridIsUncomfortable) {
+  // All same type: same-count = N > cap, so everybody is unhappy, and a
+  // flip lands at same-count 1 < K, so nobody is flippable: terminated
   // but unhappy.
-  ComfortParams p{.n = 12, .w = 2, .tau_lo = 0.4, .tau_hi = 0.8, .p = 0.5};
-  ComfortModel m(p, std::vector<std::int8_t>(144, 1));
+  SchellingModel m({.n = 12, .w = 2, .tau = 0.4, .p = 0.5, .tau_hi = 0.8},
+                   uniform_spins(12, 1));
   EXPECT_EQ(m.count_unhappy(), 144u);
-  EXPECT_TRUE(m.quiescent());
+  EXPECT_EQ(m.happy_fraction(), 0.0);
+  EXPECT_TRUE(m.terminated());
+  EXPECT_TRUE(m.check_invariants());
 }
 
-TEST(Comfort, BaselineBandMatchesSchellingFlippability) {
-  const int n = 24;
-  Rng rng(5);
-  const auto spins = random_spins(n, 0.5, rng);
-  ComfortParams cp{.n = n, .w = 2, .tau_lo = 0.45, .tau_hi = 1.0, .p = 0.5};
-  ComfortModel cm(cp, spins);
-  ModelParams sp{.n = n, .w = 2, .tau = 0.45, .p = 0.5};
-  SchellingModel sm(sp, spins);
-  for (std::uint32_t id = 0; id < sm.agent_count(); ++id) {
-    EXPECT_EQ(cm.is_happy(id), sm.is_happy(id)) << id;
-    EXPECT_EQ(cm.is_flippable(id), sm.is_flippable(id)) << id;
-  }
-}
-
-TEST(Comfort, FlipMaintainsInvariants) {
-  ComfortParams p{.n = 16, .w = 2, .tau_lo = 0.4, .tau_hi = 0.75, .p = 0.5};
+TEST(ComfortCap, FlipMaintainsInvariants) {
+  const ModelParams p{.n = 16, .w = 2, .tau = 0.4, .p = 0.5, .tau_hi = 0.75};
   Rng rng(7);
-  ComfortModel m(p, rng);
+  SchellingModel m(p, rng);
   for (int t = 0; t < 30; ++t) {
     m.flip(static_cast<std::uint32_t>(rng.uniform_below(m.agent_count())));
   }
   EXPECT_TRUE(m.check_invariants());
 }
 
-TEST(Comfort, RunStopsAtBudget) {
-  ComfortParams p{.n = 32, .w = 2, .tau_lo = 0.4, .tau_hi = 0.7, .p = 0.5};
+TEST(ComfortCap, RunStopsAtBudget) {
+  const ModelParams p{.n = 32, .w = 2, .tau = 0.4, .p = 0.5, .tau_hi = 0.7};
   Rng init(9);
-  ComfortModel m(p, init);
+  SchellingModel m(p, init);
   Rng dyn(10);
-  const ComfortRunResult r = run_comfort(m, dyn, 17);
-  EXPECT_LE(r.flips, 17u);
+  RunOptions options;
+  options.max_flips = 17;
+  const RunResult r = run_glauber(m, dyn, options);
+  EXPECT_EQ(r.flips, 17u);
+  EXPECT_FALSE(r.terminated);
   EXPECT_TRUE(m.check_invariants());
 }
 
-TEST(Comfort, BaselineBandRunTerminatesAllHappy) {
-  ComfortParams p{.n = 24, .w = 2, .tau_lo = 0.45, .tau_hi = 1.0, .p = 0.5};
-  Rng init(11);
-  ComfortModel m(p, init);
-  Rng dyn(12);
-  const ComfortRunResult r = run_comfort(m, dyn, 1u << 20);
-  EXPECT_TRUE(r.quiescent);
-  EXPECT_EQ(m.count_unhappy(), 0u);
-}
-
-TEST(Comfort, CappedBandSuppressesGiantClusters) {
+TEST(ComfortCap, CappedBandSuppressesGiantClusters) {
   // The headline hypothesis of the paper's concluding remarks: if agents
   // dislike being an overwhelming majority, large monochromatic regions
   // should not form. Compare the largest same-type cluster under
@@ -87,17 +91,16 @@ TEST(Comfort, CappedBandSuppressesGiantClusters) {
   Rng seed_rng(13);
   const auto spins = random_spins(n, 0.5, seed_rng);
 
-  ComfortParams base{.n = n, .w = 2, .tau_lo = 0.45, .tau_hi = 1.0,
-                     .p = 0.5};
-  ComfortModel mb(base, spins);
+  SchellingModel mb({.n = n, .w = 2, .tau = 0.45, .p = 0.5}, spins);
   Rng d1(14);
-  run_comfort(mb, d1, 1u << 20);
+  EXPECT_TRUE(run_glauber(mb, d1).terminated);
 
-  ComfortParams capped{.n = n, .w = 2, .tau_lo = 0.45, .tau_hi = 0.7,
-                       .p = 0.5};
-  ComfortModel mc(capped, spins);
+  SchellingModel mc({.n = n, .w = 2, .tau = 0.45, .p = 0.5, .tau_hi = 0.7},
+                    spins);
   Rng d2(15);
-  run_comfort(mc, d2, 200000);
+  RunOptions options;
+  options.max_flips = 200000;
+  run_glauber(mc, d2, options);
 
   // Largest same-type cluster, via a simple flood on the spin fields.
   const auto largest = [&](const std::vector<std::int8_t>& s) {
